@@ -12,7 +12,7 @@ Build-cache layout (``$REPRO_CACHE_DIR/native/``, default
 
 * ``native-<key>.so``   — the compiled library;
 * ``native-<key>.json`` — a sidecar describing the build (compiler
-  identifier, flags, source digest, OpenMP availability) for
+  identifier, flags, source digest) for
   ``repro cache info``;
 * ``native-<key>.lock`` — a transient exclusive-create lock file held
   only while a compile is in flight.
@@ -29,7 +29,7 @@ and warm-loads it — compile-once across any number of worker
 processes.  The compiled artifact is published with ``os.replace`` so
 a reader can never observe a half-written library.
 
-The failure contract mirrors the MV cache's: a missing compiler, a
+The failure contract: a missing compiler, a
 failed compile or an unloadable library raises
 :class:`NativeBuildError` (or, for a *cached* corrupt ``.so``,
 discards the file with a warning and rebuilds once) — the registry
@@ -70,13 +70,13 @@ _COMPILER_CANDIDATES = ("cc", "gcc", "clang")
 
 # Position-independent shared library, optimized; C99 for stdint.
 _BASE_FLAGS = ("-O3", "-fPIC", "-shared", "-std=c99")
-# Feature-tested extras, in descending order of measured impact:
-# -march=native lets the compiler vectorize the branch-free match
-# loops for this machine's ISA (measured ~4-5x on the cover loop);
-# -fopenmp fans the D axis across threads.  Either may be unsupported
-# (e.g. -march=native on arm clang) — the build quietly drops it.
+# Feature-tested extra: -march=native lets the compiler vectorize the
+# branch-free match loops for this machine's ISA (measured ~4-5x on
+# the cover loop).  It may be unsupported (e.g. on arm clang) — the
+# build quietly drops it.  The build links no OpenMP runtime: the
+# process backends fork workers, and libgomp's thread pool does not
+# survive a fork.
 _MARCH_FLAG = "-march=native"
-_OPENMP_FLAG = "-fopenmp"
 
 # How long a waiter polls for a concurrent builder's .so before giving
 # up, and the age past which an orphaned lock (builder killed mid
@@ -162,12 +162,7 @@ def _supports_flag(compiler: str, flag: str, directory: Path) -> bool:
 
 def _candidate_flag_sets() -> tuple[tuple[str, ...], ...]:
     """Every flag set a cached build may exist under, best first."""
-    return (
-        (*_BASE_FLAGS, _MARCH_FLAG, _OPENMP_FLAG),
-        (*_BASE_FLAGS, _MARCH_FLAG),
-        (*_BASE_FLAGS, _OPENMP_FLAG),
-        _BASE_FLAGS,
-    )
+    return ((*_BASE_FLAGS, _MARCH_FLAG), _BASE_FLAGS)
 
 
 def _acquire_lock(lock_path: Path, so_path: Path) -> int | None:
@@ -220,12 +215,7 @@ def compile_cached(
             return so_path, False
     directory.mkdir(parents=True, exist_ok=True)
     march = _supports_flag(compiler, _MARCH_FLAG, directory)
-    openmp = _supports_flag(compiler, _OPENMP_FLAG, directory)
-    flags = (
-        *_BASE_FLAGS,
-        *((_MARCH_FLAG,) if march else ()),
-        *((_OPENMP_FLAG,) if openmp else ()),
-    )
+    flags = (*_BASE_FLAGS, *((_MARCH_FLAG,) if march else ()))
     key = build_key(source, compiler_id, flags)
     so_path = directory / f"native-{key}.so"
     lock_path = directory / f"native-{key}.lock"
@@ -245,7 +235,6 @@ def compile_cached(
                 "flags": list(flags),
                 "source_sha256": hashlib.sha256(source.encode()).hexdigest(),
                 "source_bytes": len(source.encode()),
-                "openmp": openmp,
                 "march_native": march,
             },
         )
@@ -289,8 +278,8 @@ def load_native_library(
     Every symbol in ``symbols`` must resolve.  A *cached* library that
     fails to load or lacks a symbol — truncated file, foreign
     architecture, stale ABI — is discarded with a ``warn`` message and
-    rebuilt once, mirroring the MV cache's failure contract: a corrupt
-    cache costs a cold start, never a wrong result.  A freshly built
+    rebuilt once: a corrupt cache costs a cold start, never a wrong
+    result.  A freshly built
     library that fails the same checks raises
     :class:`NativeBuildError`.
     """

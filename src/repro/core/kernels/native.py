@@ -20,11 +20,9 @@ buys three things the array path cannot have:
   single traversal per genome.
 
 Lanes are always little-endian ``uint64`` words (the C ABI's one mask
-type; see ``docs/native-kernel.md`` for the full contract).  The
-optional OpenMP ``parallel for`` fans the D axis out across threads —
-the per-block results (rank, covered weight) are independent, and the
-weight reduction is an integer sum, so thread count can never move a
-result, only the wall clock.
+type; see ``docs/native-kernel.md`` for the full contract).  The loop
+is single-threaded: parallelism lives one level up, in the process
+backends, which fork workers that must not inherit a thread pool.
 
 Results are assembled from the C core's ``(first_rank, covered)``
 through the same :func:`~repro.core.kernels.base.accumulate_complete_rows`
@@ -69,7 +67,7 @@ __all__ = [
 # core (same budget as the array kernels' chunking).
 _CHUNK_TENSOR_ELEMENTS = 1 << 20
 
-# The C ABI: one source, two entry points, one version probe.  Masks
+# The C ABI: one source, one entry point, one version probe.  Masks
 # are little-endian uint64 word lanes exactly as numpy packs them
 # (repro.core.blocks.pack_bits_to_words); all scalars are int64 so the
 # ctypes signatures cannot truncate a large table.  `first_rank`
@@ -137,10 +135,7 @@ void repro_cover(const uint64_t *block_lanes,  /* D x W fused [b1|b0] */
         const uint64_t *genome = mv_lanes + c * n_vectors * lane_words;
         int64_t *rank_row = first_rank + c * n_distinct;
         int64_t weight = 0;
-        /* Blocks are independent: rank and weight per d, one integer
-         * reduction.  Thread count moves the clock, never a result. */
         if (lane_words == 1) {
-            #pragma omp parallel for reduction(+:weight) schedule(static)
             for (int64_t d = 0; d < n_distinct; ++d) {
                 int64_t rank = repro_first_match_w1(
                     block_lanes[d], genome, n_vectors);
@@ -148,7 +143,6 @@ void repro_cover(const uint64_t *block_lanes,  /* D x W fused [b1|b0] */
                 if (rank < n_vectors) weight += counts[d];
             }
         } else {
-            #pragma omp parallel for reduction(+:weight) schedule(static)
             for (int64_t d = 0; d < n_distinct; ++d) {
                 int64_t rank = repro_first_match_wn(
                     block_lanes + d * lane_words, genome,
@@ -160,40 +154,9 @@ void repro_cover(const uint64_t *block_lanes,  /* D x W fused [b1|b0] */
         covered[c] = weight;
     }
 }
-
-void repro_match(const uint64_t *block_lanes,  /* D x W fused [b1|b0] */
-                 const uint64_t *mv_lanes,     /* M x W fused [mvZ|mv1] */
-                 int64_t n_rows,
-                 int64_t n_distinct,
-                 int64_t lane_words,
-                 uint8_t *out)                 /* M x D; 1 = match */
-{
-    if (lane_words == 1) {
-        #pragma omp parallel for schedule(static)
-        for (int64_t m = 0; m < n_rows; ++m) {
-            const uint64_t mv = mv_lanes[m];
-            uint8_t *row = out + m * n_distinct;
-            for (int64_t d = 0; d < n_distinct; ++d)
-                row[d] = (uint8_t)((block_lanes[d] & mv) == 0);
-        }
-        return;
-    }
-    #pragma omp parallel for schedule(static)
-    for (int64_t m = 0; m < n_rows; ++m) {
-        const uint64_t *mv = mv_lanes + m * lane_words;
-        uint8_t *row = out + m * n_distinct;
-        for (int64_t d = 0; d < n_distinct; ++d) {
-            const uint64_t *block = block_lanes + d * lane_words;
-            int conflict = 0;
-            for (int64_t w = 0; w < lane_words; ++w)
-                conflict += __builtin_popcountll(block[w] & mv[w]);
-            row[d] = (uint8_t)(conflict == 0);
-        }
-    }
-}
 """
 
-_SYMBOLS = ("repro_native_abi_version", "repro_cover", "repro_match")
+_SYMBOLS = ("repro_native_abi_version", "repro_cover")
 _ABI_VERSION = 1
 
 # Process-wide load state: (library or None, unavailability reason).
@@ -225,7 +188,6 @@ def _load_library() -> tuple[ctypes.CDLL | None, str | None]:
                     f"ABI version {abi}, this build expects {_ABI_VERSION}"
                 )
             library.repro_cover.restype = None
-            library.repro_match.restype = None
             _LOADED = (library, None)
         except NativeBuildError as error:
             _LOADED = (None, str(error))
@@ -463,35 +425,3 @@ class NativeKernel(CoveringKernel):
             np.atleast_2d(np.asarray(orders, dtype=np.int64)),
             want_assignment,
         )
-
-    # -- factored entry point -----------------------------------------
-
-    def _match_columns_chunk(
-        self,
-        prepared: PreparedBlocks,
-        mv_ones: np.ndarray,
-        mv_zeros: np.ndarray,
-    ) -> np.ndarray:
-        """Fused-lane match columns via the C loop: one call per chunk."""
-        block_length = prepared.block_length
-        bits = np.concatenate(
-            [
-                unpack_words_to_bits(mv_zeros, block_length),
-                unpack_words_to_bits(mv_ones, block_length),
-            ],
-            axis=1,
-        )
-        mv_lanes = np.ascontiguousarray(pack_bits_to_words(bits))
-        block_lanes = np.ascontiguousarray(prepared.block_lanes)
-        n_rows = mv_lanes.shape[0]
-        n_distinct = prepared.n_distinct
-        out = np.empty((n_rows, n_distinct), dtype=np.uint8)
-        self._library.repro_match(
-            _as_uint64_pointer(block_lanes),
-            _as_uint64_pointer(mv_lanes),
-            ctypes.c_int64(n_rows),
-            ctypes.c_int64(n_distinct),
-            ctypes.c_int64(block_lanes.shape[-1]),
-            out.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)),
-        )
-        return out.view(bool)

@@ -1,8 +1,8 @@
 """Compression-as-a-service: the `repro serve` daemon.
 
-A long-lived, stdlib-only HTTP service that keeps prepared kernels,
-the thread-safe :class:`~repro.core.fitness.MVMatchCache` and warm
-fitness engines resident across requests (:mod:`.state`), coalesces
+A long-lived, stdlib-only HTTP service that keeps prepared kernels
+and warm fitness engines resident across requests (:mod:`.state`),
+coalesces
 concurrent same-table fitness requests into single ``evaluate_batch``
 passes (:mod:`.batching`), and degrades gracefully under load — 429
 on a full queue, 504 past the per-request timeout, 503 while

@@ -20,8 +20,8 @@ Degradation ladder, in order of preference:
   ones are turned away.
 
 ``shutdown(drain=True)`` — the SIGTERM path — stops admission,
-flushes the coalescer, waits out the worker pool, persists warm
-caches when enabled, then stops the accept loop.
+flushes the coalescer, waits out the worker pool, then stops the
+accept loop.
 """
 
 from __future__ import annotations
@@ -46,6 +46,10 @@ class _Handler(BaseHTTPRequestHandler):
     """Route HTTP verbs to the owning daemon; never log to stderr."""
 
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; with Nagle on, the body
+    # waits for the client's delayed ACK of the headers (~40 ms per
+    # keep-alive response).
+    disable_nagle_algorithm = True
     daemon: "ServeDaemon"  # set on the subclass the daemon builds
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
@@ -189,13 +193,11 @@ class ServeDaemon:
 
         Order matters: mark draining (new requests → 503), flush the
         coalescer (fitness waiters resolve), wait out the compress
-        pool, persist warm caches, then stop the accept loop.
+        pool, then stop the accept loop.
         """
         self._draining = True
         self._coalescer.stop(drain=drain)
         self._pool.shutdown(wait=drain, cancel_futures=not drain)
-        if drain:
-            self._service.registry.persist_caches()
         self._httpd.shutdown()
         if self._serve_thread is not None:
             self._serve_thread.join()
@@ -274,9 +276,9 @@ class ServeDaemon:
     def stats(self) -> dict:
         """Operational counters — deliberately *not* part of parity.
 
-        Cache hits, batch occupancy and queue depth depend on what
-        other requests warmed, so they live here and never in a
-        response body.
+        Batch occupancy and queue depth depend on what other requests
+        were in flight, so they live here and never in a response
+        body.
         """
         available, reason = native_status()
         with self._lock:

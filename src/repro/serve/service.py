@@ -21,8 +21,6 @@ belong in ``/stats``, not in parity-compared bodies.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from ..core.blocks import BlockSet
@@ -212,8 +210,8 @@ class CompressionService:
 
         Seeds follow the optimizer's spawn discipline: the request's
         ``seed`` spawns one ``SeedSequence`` child per run, so the
-        response is a pure function of (table, config, seed) — shared
-        warm caches and request interleaving cannot reach it.
+        response is a pure function of (table, config, seed) — warm
+        state and request interleaving cannot reach it.
         """
         entry = self._resolve_entry(require(body, "table", (str, dict)))
         seed = require(body, "seed", int)
@@ -221,14 +219,11 @@ class CompressionService:
         entry.compress_requests += 1
         optimizer = EAMVOptimizer(config, seed=seed)
         tasks = optimizer.build_run_tasks(entry.blocks)
-        # SerialBackend inside the daemon's worker thread: the shared
-        # MV cache is injected per run, and the PR-6 retry policy
-        # re-attempts crashed runs (self-seeded → identical retried
-        # results).
+        # SerialBackend inside the daemon's worker thread; the retry
+        # policy re-attempts crashed runs (self-seeded → identical
+        # retried results).
         outcomes = SerialBackend().map(
-            partial(execute_run_task, mv_cache=entry.mv_cache),
-            tasks,
-            retry=self._retry,
+            execute_run_task, tasks, retry=self._retry
         )
         result = OptimizationResult(config=config, runs=tuple(outcomes))
         return self._compress_payload(entry, seed, config, result)

@@ -2,11 +2,53 @@
 
 from __future__ import annotations
 
+import faulthandler
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from repro.core.blocks import BlockSet
+
+
+# Per-test hang watchdog (stdlib only; pytest-timeout is not a
+# dependency).  A test whose setup, call and teardown together run
+# past this many seconds dumps every thread's stack to stderr and
+# exits the run with a failure, instead of stalling until an outer CI
+# timeout.  The slowest tier-1 test takes seconds, so the bound only
+# trips on a real hang (e.g. a worker deadlocked after fork).
+TEST_TIMEOUT_SECONDS = 300.0
+
+_watchdog_fd: int | None = None
+
+
+def pytest_configure(config):
+    # Output capture is suspended while pytest configures, so fd 2 is
+    # still the terminal: keep a duplicate for the watchdog, because
+    # during a test fd 2 points at a capture file that an exiting
+    # process never reports.
+    global _watchdog_fd
+    _watchdog_fd = os.dup(sys.__stderr__.fileno())
+
+
+def pytest_unconfigure(config):
+    global _watchdog_fd
+    if _watchdog_fd is not None:
+        os.close(_watchdog_fd)
+        _watchdog_fd = None
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    faulthandler.dump_traceback_later(
+        TEST_TIMEOUT_SECONDS, exit=True, file=_watchdog_fd
+    )
+    try:
+        return (yield)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

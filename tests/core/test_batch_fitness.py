@@ -279,3 +279,28 @@ class TestMaskWidthValidation:
         blocks = BlockSet.from_string("111", 3)
         with pytest.raises(ValueError):
             BatchCompressionRateFitness(blocks, n_vectors=0, block_length=3)
+
+
+class TestStageTimings:
+    """The ``timings=`` hook and the ``mv_cache_stats`` counters are
+    read by the end-to-end benchmark's tracer around every
+    ``evaluate_batch`` call."""
+
+    def test_timings_dict_records_stages(self):
+        rng = np.random.default_rng(6)
+        blocks = random_block_set(rng, 600, 8)
+        fitness = BatchCompressionRateFitness(blocks, n_vectors=5, block_length=8)
+        genomes = random_genome_batch(rng, 24, 5 * 8)
+        timings = {}
+        rates = fitness.evaluate_batch(genomes, timings=timings)
+        assert set(timings) == {"pack", "cover", "huffman"}
+        assert all(seconds >= 0.0 for seconds in timings.values())
+        assert (rates == fitness.evaluate_batch(genomes)).all()
+
+    def test_mv_cache_stats_read_zero(self):
+        rng = np.random.default_rng(7)
+        blocks = random_block_set(rng, 600, 8)
+        fitness = BatchCompressionRateFitness(blocks, n_vectors=5, block_length=8)
+        fitness.evaluate_batch(random_genome_batch(rng, 24, 5 * 8))
+        stats = fitness.mv_cache_stats
+        assert (stats.hits, stats.misses, stats.rows_total) == (0, 0, 0)

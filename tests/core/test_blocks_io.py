@@ -35,7 +35,6 @@ from repro.core.blocks_io import (
 )
 from repro.core.fitness import BatchCompressionRateFitness
 from repro.core.kernels import get_kernel
-from repro.tuning.profile import TuningProfile
 
 
 def random_trits(rng, n):
@@ -134,11 +133,6 @@ class TestStreamingBuilder:
         assert_tables_identical(built, BlockSet.from_trit_array(trits, 8))
 
 
-ENGAGED = TuningProfile(
-    mv_dedup_min_genomes=1, mv_dedup_min_table=1, mv_dedup_min_distinct=1
-)
-
-
 class TestMemmapPricingParity:
     """np.memmap tables behave identically through prepare() and the
     kernels — the bitpack lane build spills to a disk-backed buffer
@@ -156,7 +150,7 @@ class TestMemmapPricingParity:
         for label, blocks in (("ram", ram), ("memmap", mapped)):
             fitness = BatchCompressionRateFitness(
                 blocks, n_vectors=5, block_length=8,
-                kernel=kernel_name, tuning=ENGAGED,
+                kernel=kernel_name,
             )
             rates[label] = fitness.evaluate_batch(genomes)
         assert (rates["ram"] == rates["memmap"]).all()
@@ -183,19 +177,10 @@ RSS_SCRIPT = textwrap.dedent(
     import numpy as np
     from repro.core.blocks_io import load_block_table
     from repro.core.fitness import BatchCompressionRateFitness
-    from repro.tuning.profile import TuningProfile
 
     blocks = load_block_table(sys.argv[1])
-    # mv_cache_size stays small: the cache store preallocates
-    # capacity x ceil(D/8) bytes, which at D=1e5 would otherwise
-    # dominate the very footprint this test bounds.
     fitness = BatchCompressionRateFitness(
-        blocks, n_vectors=4, block_length=64, kernel="bitpack",
-        mv_cache_size=64,
-        tuning=TuningProfile(
-            mv_dedup_min_genomes=1, mv_dedup_min_table=1,
-            mv_dedup_min_distinct=1,
-        ),
+        blocks, n_vectors=4, block_length=64, kernel="bitpack"
     )
     rng = np.random.default_rng(0)
     genomes = rng.integers(0, 3, size=(8, 4 * 64), dtype=np.int8)

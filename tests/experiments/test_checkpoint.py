@@ -18,6 +18,7 @@ from repro.experiments.checkpoint import (
     task_fingerprint,
 )
 from repro.parallel import FaultToleranceStats
+from repro.tuning.profile import TuningProfile
 
 TINY_EA = EAParameters(
     population_size=4,
@@ -69,10 +70,10 @@ class TestFingerprint:
         )
 
     def test_insensitive_to_performance_knobs(self):
-        """Kernel and cache settings never change results, so switching
-        them must not invalidate journaled work."""
+        """Kernel and tuning settings never change results, so
+        switching them must not invalidate journaled work."""
         tuned = dataclasses.replace(
-            TINY_CONFIG, kernel="scalar", mv_cache_size=1
+            TINY_CONFIG, kernel="scalar", tuning=TuningProfile()
         )
         assert task_fingerprint(_tasks()[0]) == task_fingerprint(
             _tasks(config=tuned)[0]
@@ -99,24 +100,24 @@ class TestOutcomeRoundTrip:
         assert restored.mv_set == outcome.mv_set
         assert restored.ea_result.evaluations == outcome.ea_result.evaluations
         assert restored.ea_result.history == ()
-        assert (
-            restored.ea_result.mv_cache_warm_loaded
-            == outcome.ea_result.mv_cache_warm_loaded
-        )
 
-    def test_decodes_journal_written_before_warm_start_field(self, tmp_path):
-        """Journals predating ``mv_cache_warm_loaded`` decode as cold
-        starts instead of raising — old resume journals stay usable."""
+    def test_decodes_journal_carrying_mv_cache_counters(self, tmp_path):
+        """Journals written while the MV match-column cache existed carry
+        its counters; they still decode — old resume journals stay
+        usable."""
         task = _tasks()[0]
         outcome = execute_run_task(task)
         document = json.loads(json.dumps(encode_outcome(outcome)))
-        del document["ea"]["mv_cache_warm_loaded"]
+        document["ea"].update(
+            mv_cache_hits=3, mv_cache_misses=5, mv_cache_hit_rate=0.375,
+            mv_cache_warm_loaded=0,
+        )
         journal = RunJournal.open(tmp_path / "j.jsonl")
         journal.record(task_fingerprint(task), document)
         restored = RunTaskCache(journal=journal).get(task)
         assert restored is not None
-        assert restored.ea_result.mv_cache_warm_loaded == 0
         assert restored.rate == outcome.rate
+        assert restored.mv_set == outcome.mv_set
 
 
 class TestRunJournal:

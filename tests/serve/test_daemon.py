@@ -1,13 +1,14 @@
 """End-to-end tests for the HTTP daemon: endpoints, parity, backpressure."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.serve.daemon import ServeDaemon
+from repro.serve.daemon import ServeDaemon, _Handler
 from repro.serve.protocol import canonical_json
 from repro.serve.service import CompressionService
 from repro.serve.state import WarmRegistry
@@ -174,8 +175,28 @@ class TestStats:
         for field in ("requests", "batch", "tables", "native", "kernels"):
             assert field in stats
         assert set(stats["native"]) == {"available", "reason", "warned"}
-        (digest,) = stats["tables"]
-        assert stats["tables"][digest]["mv_cache"]["enabled"] is True
+        assert len(stats["tables"]) == 1
+
+
+class TestKeepAlive:
+    def test_accepted_socket_disables_nagle(self, daemon, monkeypatch):
+        """Headers and body leave as two writes; with Nagle on, the
+        body waits for the client's delayed ACK on every keep-alive
+        response.  The accepted socket must carry TCP_NODELAY."""
+        seen = []
+        original_setup = _Handler.setup
+
+        def setup(handler):
+            original_setup(handler)
+            seen.append(
+                handler.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+            )
+
+        monkeypatch.setattr(_Handler, "setup", setup)
+        assert http(daemon.address, "/healthz")[0] == 200
+        assert seen and all(seen)
 
 
 class TestDegradation:

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.blocks import BlockSet
 from repro.core.encoding import EncodingStrategy
 from repro.serve.protocol import ProtocolError, canonical_json
 from repro.serve.service import CompressionService
-from repro.serve.state import FitnessKey, WarmRegistry
+from repro.serve.state import FitnessKey, WarmRegistry, block_table_digest
 
 PATTERNS = ["01X10X", "X10011", "110100", "0XX01X"]
 BLOCK_LENGTH = 3
@@ -49,9 +50,18 @@ class TestRegistry:
         second = service.register_table(dict(TABLE, name="other"))
         assert first["digest"] == second["digest"]
         assert service.registry.digests() == [first["digest"]]
-        # The warm entry (and its shared cache) survived re-registration.
+        # The warm entry survived re-registration.
         entry = service.registry.get(first["digest"])
         assert entry.name == "unit"
+
+    def test_digest_is_table_sensitive(self):
+        def blocks(seed):
+            rng = np.random.default_rng(seed)
+            trits = rng.integers(0, 3, 2400).astype(np.int8)
+            return BlockSet.from_trit_array(trits, 8)
+
+        assert block_table_digest(blocks(1)) != block_table_digest(blocks(2))
+        assert block_table_digest(blocks(1)) == block_table_digest(blocks(1))
 
     def test_describe_payload(self):
         payload = make_service().register_table(TABLE)
@@ -60,7 +70,7 @@ class TestRegistry:
         assert payload["n_distinct"] <= payload["n_blocks"]
         assert len(payload["digest"]) == 64
 
-    def test_engine_reuse_and_shared_cache(self):
+    def test_engine_reuse_per_key(self):
         service = make_service()
         digest = service.register_table(TABLE)["digest"]
         entry = service.registry.get(digest)
@@ -73,7 +83,6 @@ class TestRegistry:
         )
         engine = service.registry.engine_for(key)
         assert service.registry.engine_for(key) is engine
-        assert engine.mv_cache is entry.mv_cache
         other = service.registry.engine_for(
             FitnessKey(
                 digest=digest,
@@ -84,7 +93,6 @@ class TestRegistry:
             )
         )
         assert other is not engine
-        assert other.mv_cache is entry.mv_cache
         assert len(entry.engines) == 2
 
     def test_engine_for_unknown_digest(self):
@@ -108,10 +116,11 @@ class TestRegistry:
         table_stats = stats[digest]
         assert table_stats["fitness_requests"] == 1
         assert table_stats["engines"] == 1
-        cache_stats = table_stats["mv_cache"]
-        assert cache_stats["enabled"] is True
-        for field in ("policy", "hits", "misses", "hit_rate", "capacity"):
-            assert field in cache_stats
+        assert set(table_stats) == {
+            "digest", "name", "block_length", "n_blocks", "n_distinct",
+            "original_bits", "engines", "fitness_requests",
+            "compress_requests",
+        }
 
 
 class TestValidation:

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.core import fitness as fitness_module
 from repro.core import kernels as kernels_module
 from repro.coding import huffman as huffman_module
 from repro.tuning.profile import (
@@ -31,12 +30,8 @@ def tuned_profile(**overrides) -> TuningProfile:
         fingerprint=current_fingerprint(gemm_us=12.5, bitand_us=3.25),
         bitpack_min_distinct=192,
         bitpack_wide_min_distinct=1536,
-        mv_dedup_min_genomes=8,
-        mv_dedup_min_table=384,
-        mv_dedup_min_distinct=1024,
         bitpack_shard_size=512,
         huffman_lockstep_min_rows=128,
-        mv_feedback_min_hit_rate=0.4,
         source="test",
         created="2026-07-29T00:00:00+00:00",
         probe_seconds=1.5,
@@ -184,15 +179,6 @@ class TestDefaultsStayInSync:
         )
         assert profile.scalar_max_work == kernels_module.SCALAR_MAX_WORK
 
-    def test_dedup_thresholds(self):
-        profile = TuningProfile()
-        assert profile.mv_dedup_min_genomes == fitness_module._MV_DEDUP_MIN_GENOMES
-        assert profile.mv_dedup_min_table == fitness_module._MV_DEDUP_MIN_TABLE
-        assert (
-            profile.mv_dedup_min_distinct
-            == fitness_module._MV_DEDUP_MIN_DISTINCT
-        )
-
     def test_huffman_threshold(self):
         assert (
             TuningProfile().huffman_lockstep_min_rows
@@ -202,12 +188,8 @@ class TestDefaultsStayInSync:
 
 class TestValidation:
     def test_rejects_nonpositive_thresholds(self):
-        with pytest.raises(ValueError, match="mv_dedup_min_table"):
-            TuningProfile(mv_dedup_min_table=0)
-
-    def test_rejects_bad_hit_rate(self):
-        with pytest.raises(ValueError, match="mv_feedback_min_hit_rate"):
-            TuningProfile(mv_feedback_min_hit_rate=1.5)
+        with pytest.raises(ValueError, match="scalar_max_work"):
+            TuningProfile(scalar_max_work=0)
 
     def test_rejects_bad_shard_size(self):
         with pytest.raises(ValueError, match="bitpack_shard_size"):
@@ -216,7 +198,10 @@ class TestValidation:
     def test_with_updates(self):
         profile = TuningProfile().with_updates(bitpack_min_distinct=64)
         assert profile.bitpack_min_distinct == 64
-        assert profile.mv_dedup_min_table == TuningProfile().mv_dedup_min_table
+        assert (
+            profile.huffman_lockstep_min_rows
+            == TuningProfile().huffman_lockstep_min_rows
+        )
 
 
 class TestActiveProfile:

@@ -295,8 +295,41 @@ def _print_pareto_front(blocks, config, arguments: argparse.Namespace) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """A command-line value the run configuration rejected."""
+
+
+def _run_config(
+    arguments: argparse.Namespace, tuning, runs: int, **ea_fields
+) -> CompressionConfig:
+    """The ``--k``/``--l``/``--kernel`` run configuration of a command.
+
+    A value :class:`CompressionConfig` or :class:`EAParameters`
+    rejects becomes a :class:`_UsageError`, which :func:`main` reports
+    as an argparse ``error:`` line (exit status 2).
+    """
+    try:
+        return CompressionConfig(
+            block_length=arguments.k,
+            n_vectors=arguments.l,
+            runs=runs,
+            kernel=arguments.kernel,
+            tuning=tuning,
+            ea=EAParameters(**ea_fields),
+        )
+    except ValueError as error:
+        raise _UsageError(str(error)) from None
+
+
 def _compress_command(arguments: argparse.Namespace) -> int:
     tuning = _resolve_tuning(arguments)
+    config = _run_config(
+        arguments,
+        tuning,
+        runs=arguments.runs,
+        stagnation_limit=arguments.stagnation,
+        max_evaluations=arguments.max_evaluations,
+    )
     lines = [
         line.strip()
         for line in Path(arguments.file).read_text().splitlines()
@@ -308,17 +341,6 @@ def _compress_command(arguments: argparse.Namespace) -> int:
     print(f"9C     rate: {compress_nine_c(blocks8).rate:6.2f}%")
     print(
         f"9C+HC  rate: {compress_nine_c(blocks8, use_huffman=True).rate:6.2f}%"
-    )
-    config = CompressionConfig(
-        block_length=arguments.k,
-        n_vectors=arguments.l,
-        runs=arguments.runs,
-        kernel=arguments.kernel,
-        tuning=tuning,
-        ea=EAParameters(
-            stagnation_limit=arguments.stagnation,
-            max_evaluations=arguments.max_evaluations,
-        ),
     )
     if arguments.objectives != "rate":
         return _print_pareto_front(
@@ -344,6 +366,9 @@ def _compress_command(arguments: argparse.Namespace) -> int:
 
 def _atpg_command(arguments: argparse.Namespace) -> int:
     tuning = _resolve_tuning(arguments)
+    config = _run_config(
+        arguments, tuning, runs=3, stagnation_limit=30, max_evaluations=1200
+    )
     from .atpg.stuck_at import generate_stuck_at_tests
     from .circuits.library import load_circuit
 
@@ -360,14 +385,6 @@ def _atpg_command(arguments: argparse.Namespace) -> int:
     print(f"9C     rate: {compress_nine_c(blocks8).rate:6.2f}%")
     print(
         f"9C+HC  rate: {compress_nine_c(blocks8, use_huffman=True).rate:6.2f}%"
-    )
-    config = CompressionConfig(
-        block_length=arguments.k,
-        n_vectors=arguments.l,
-        runs=3,
-        kernel=arguments.kernel,
-        tuning=tuning,
-        ea=EAParameters(stagnation_limit=30, max_evaluations=1200),
     )
     if arguments.objectives != "rate":
         return _print_pareto_front(
@@ -983,7 +1000,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    arguments = build_parser().parse_args(argv)
+    parser = build_parser()
+    arguments = parser.parse_args(argv)
+    try:
+        return _dispatch(arguments)
+    except _UsageError as error:
+        parser.error(f"{arguments.command}: {error}")
+
+
+def _dispatch(arguments: argparse.Namespace) -> int:
     if arguments.command == "table1":
         return _table_command(arguments, which=1)
     if arguments.command == "table2":

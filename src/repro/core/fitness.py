@@ -2,20 +2,25 @@
 
 This is the EA's inner loop.  The workhorse is
 :class:`BatchCompressionRateFitness`, which prices an entire
-generation of ``C`` genomes in a handful of numpy kernel calls:
+generation of ``C`` genomes with ONE call to the covering kernel's
+:meth:`~repro.core.kernels.CoveringKernel.price_grid`:
 
-1. the ``(C, L·K)`` genome matrix is packed into ``(C, L)`` mask and
-   fill-count arrays in one vectorized pass (no ``MVSet`` objects);
-2. the MVs of every genome are put into covering order (stable sort by
-   unspecified count) and a pluggable covering kernel
+1. the ``(C, L·K)`` genome matrix is viewed as a ``(C, L, K)`` trit
+   grid (no ``MVSet`` objects);
+2. each genome's MVs are put into covering order (stable sort by
+   unspecified count) and the pluggable covering kernel
    (:mod:`repro.core.kernels` — the cc-compiled native loop, float32
    GEMM, bit-packed uint64 lanes with block-table sharding, or the
-   scalar reference; ``"auto"`` picks per workload shape) covers the
-   whole ordered trit grid in one fused ``cover_grid`` pass,
-   early-exiting genomes whose MVs cannot cover every block;
-3. :func:`repro.coding.huffman.huffman_total_bits_batch` prices all
-   frequency rows with a lockstep two-queue merge (no per-genome dict
-   or heap), and the fill bits are one matrix dot away.
+   scalar reference; ``"auto"`` picks per workload shape) covers every
+   block with its first matching MV, early-exiting genomes whose MVs
+   cannot cover every block;
+3. the MV use frequencies are priced with the two-queue Huffman merge
+   and the fill bits ``Σ freq·NU`` are added, giving one int64
+   compressed bit total per genome.  The native kernel runs steps 2–3
+   in a single C call; the array kernels compose ``cover_grid`` with
+   :func:`repro.coding.huffman.huffman_total_bits_batch`;
+4. the rate ``100·(orig − compressed)/orig`` is one numpy expression
+   over the totals.
 
 :class:`CompressionRateFitness` keeps the historical single-genome
 callable API as a thin batch-of-one wrapper, so existing callers keep
@@ -31,12 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..coding.huffman import huffman_length_stats_batch, huffman_total_bits_batch
+from ..coding.huffman import huffman_length_stats_batch
 from ..tuning.profile import TuningProfile, get_active_profile
 from .blocks import BlockSet, mask_word_count, pack_bits_to_words
 from .decoder_hw import decoder_area_units_batch, test_application_cycles_batch
 from .encoding import EncodingStrategy, build_encoding_table
-from .kernels import AUTO_KERNEL, CoveringKernel, resolve_kernel
+from .kernels import AUTO_KERNEL, CoveringKernel, covering_order, resolve_kernel
 from .matching import MVSet
 from .trits import DC, ONE, ZERO
 
@@ -61,7 +66,7 @@ INVALID_FITNESS = -1.0e6  # far below 100·(orig−comp)/orig for any valid enco
 class MVCacheStats:
     """Always-zero counters kept from the retired MV match-column cache.
 
-    Every batch is priced by the kernel's fused ``cover_grid`` pass, so
+    Every batch is priced by one kernel ``price_grid`` call, so
     nothing is ever looked up.  The type stays so readers of
     ``BatchCompressionRateFitness.mv_cache_stats`` (the tracer in
     ``perfbench/``) keep working.
@@ -219,34 +224,29 @@ class BatchCompressionRateFitness:
         return matrix
 
     def _cover_generation(
-        self, matrix: np.ndarray, clock: _StageClock | None
+        self, matrix: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cover every genome row of a ``(C, L·K)`` matrix in one pass.
 
-        The shared covering front half of :meth:`evaluate_batch` and
-        :meth:`evaluate_objectives`: returns per-genome MV use
-        ``frequencies`` ``(C, L)``, ``uncovered`` block counts ``(C,)``
-        and per-MV ``n_unspecified`` counts ``(C, L)``.
+        The covering front half of :meth:`evaluate_objectives`, which
+        needs the frequency rows themselves rather than bit totals:
+        returns per-genome MV use ``frequencies`` ``(C, L)``,
+        ``uncovered`` block counts ``(C,)`` and per-MV
+        ``n_unspecified`` counts ``(C, L)``.
         """
         n_genomes = matrix.shape[0]
         grid = matrix.reshape(n_genomes, self._n_vectors, self._block_length)
-        n_unspecified = (grid == DC).sum(axis=2).astype(np.int64)
-        orders = np.argsort(n_unspecified, axis=1, kind="stable")
-        kernel = self._resolve_kernel(n_genomes)
         # The covering kernel consumes the trit grid with the L axis
         # pre-permuted into covering order; each kernel converts to its
         # native representation (float bit rows, uint64 word lanes).
-        ordered_grid = grid[np.arange(n_genomes)[:, None], orders]
-        if clock:
-            clock.mark("pack")
+        ordered_grid, orders, n_unspecified = covering_order(grid)
+        kernel = self._resolve_kernel(n_genomes)
         _, frequencies, uncovered = kernel.cover_grid(
             self._prepared,
             ordered_grid,
             orders,
             want_assignment=False,
         )
-        if clock:
-            clock.mark("cover")
         return frequencies, uncovered, n_unspecified
 
     def evaluate_batch(
@@ -258,7 +258,9 @@ class BatchCompressionRateFitness:
         ``invalid_fitness``.  Identical, element for element, to
         calling the single-genome path on each row.  ``timings``, if a
         dict, accumulates per-stage wall seconds (``pack`` / ``cover``
-        / ``huffman``).
+        / ``huffman``; the native kernel prices the Huffman totals
+        inside its ``cover`` call, so its ``huffman`` stage is just the
+        rate formula).
         """
         matrix = self._genome_matrix(genomes)
         n_genomes = matrix.shape[0]
@@ -271,24 +273,21 @@ class BatchCompressionRateFitness:
                 dtype=np.float64,
             )
         clock = _StageClock(timings) if timings is not None else None
-        frequencies, uncovered, n_unspecified = self._cover_generation(
-            matrix, clock
+        kernel = self._resolve_kernel(n_genomes)
+        totals = kernel.price_grid(
+            self._prepared,
+            matrix.reshape(n_genomes, self._n_vectors, self._block_length),
+            lockstep_min_rows=(
+                None
+                if self._tuning is None
+                else self._tuning.huffman_lockstep_min_rows
+            ),
+            mark=clock.mark if clock else None,
         )
         rates = np.full(n_genomes, self._invalid_fitness, dtype=np.float64)
-        valid = uncovered == 0
-        if valid.any():
-            codeword_bits = huffman_total_bits_batch(
-                frequencies[valid],
-                lockstep_min_rows=(
-                    None
-                    if self._tuning is None
-                    else self._tuning.huffman_lockstep_min_rows
-                ),
-            )
-            fill_bits = (frequencies[valid] * n_unspecified[valid]).sum(axis=1)
-            compressed = codeword_bits + fill_bits
-            original = self._blocks.original_bits
-            rates[valid] = 100.0 * (original - compressed) / original
+        valid = totals >= 0
+        original = self._blocks.original_bits
+        rates[valid] = 100.0 * (original - totals[valid]) / original
         if clock:
             clock.mark("huffman")
         return rates
@@ -296,9 +295,10 @@ class BatchCompressionRateFitness:
     def evaluate_objectives(self, genomes: np.ndarray) -> np.ndarray:
         """``(C, 3)`` objective matrix: rate (%), area (bits), time (cycles).
 
-        The multi-objective adapter: ONE covering pass (the same shared
-        :meth:`_cover_generation` front half as :meth:`evaluate_batch`,
-        so the kernel pass amortizes across objectives), then vectorized
+        The multi-objective adapter: ONE covering pass
+        (:meth:`_cover_generation`, the same MV order and kernel
+        ``cover_grid`` that :meth:`evaluate_batch` prices through, so
+        the kernel pass amortizes across objectives), then vectorized
         decoder-model columns from the batched Huffman length
         statistics.  Column order is
         :data:`OBJECTIVE_COLUMNS`; the rate column is bit-identical to
@@ -316,9 +316,7 @@ class BatchCompressionRateFitness:
                 "HUFFMAN_SUBSUME strategy (no batched decoder model for "
                 "subsumption-merged tables)"
             )
-        frequencies, uncovered, n_unspecified = self._cover_generation(
-            matrix, None
-        )
+        frequencies, uncovered, n_unspecified = self._cover_generation(matrix)
         objectives = np.empty((n_genomes, 3), dtype=np.float64)
         objectives[:, 0] = self._invalid_fitness
         objectives[:, 1:] = np.inf

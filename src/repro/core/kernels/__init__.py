@@ -39,6 +39,7 @@ from .base import (
     CoveringKernel,
     PreparedBlocks,
     accumulate_complete_rows,
+    covering_order,
     first_match_rank,
     rank_word_bits,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "available_kernels",
     "cover_bits_batch",
     "cover_masks",
+    "covering_order",
     "first_match_rank",
     "get_kernel",
     "kernel_availability",

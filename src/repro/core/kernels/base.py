@@ -28,29 +28,39 @@ input encoding:
 * :meth:`cover_masks` — declaration-order masks, flat ``(C, L)`` or
   ``(C, L, W)``; permuted here and delegated;
 * :meth:`cover_grid` — the ordered ``(C, L, K)`` trit grid straight
-  from the EA genome matrix (the fitness hot path; kernels may
-  override to skip the intermediate word packing).
+  from the EA genome matrix (kernels may override to skip the
+  intermediate word packing).
+
+On top of covering, :meth:`price_grid` is the fitness hot path: it
+takes the *unordered* ``(C, L, K)`` trit grid and returns each
+genome's compressed bit total (Huffman codeword bits plus fill bits),
+``-1`` where a block stays uncovered.  The base implementation
+composes :func:`covering_order`, :meth:`cover_grid` and the batched
+Huffman totals; the native kernel does all of it in one C call.
 """
 
 from __future__ import annotations
 
 import abc
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
+from ...coding.huffman import huffman_total_bits_batch
 from ..blocks import (
     BlockSet,
     mask_word_count,
     masks_as_words,
     pack_bits_to_words,
 )
-from ..trits import ONE, ZERO
+from ..trits import DC, ONE, ZERO
 
 __all__ = [
     "CoveringKernel",
     "PreparedBlocks",
     "accumulate_complete_rows",
+    "covering_order",
     "first_match_rank",
     "rank_word_bits",
 ]
@@ -72,6 +82,23 @@ class PreparedBlocks:
     total_count: int
     ones_words: np.ndarray
     zeros_words: np.ndarray
+
+
+def covering_order(
+    grid: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Put every genome's MVs of a ``(C, L, K)`` trit grid in covering order.
+
+    MVs are tried in ascending order of unspecified count, ties kept in
+    declaration order (stable sort).  Returns ``(ordered_grid, orders,
+    n_unspecified)``: the permuted grid, the ``(C, L)`` rank → MV index
+    map and the ``(C, L)`` per-MV unspecified counts in declaration
+    order.
+    """
+    n_unspecified = (grid == DC).sum(axis=2).astype(np.int64)
+    orders = np.argsort(n_unspecified, axis=1, kind="stable")
+    ordered_grid = grid[np.arange(grid.shape[0])[:, None], orders]
+    return ordered_grid, orders, n_unspecified
 
 
 def rank_word_bits(n_vectors: int) -> int:
@@ -270,6 +297,47 @@ class CoveringKernel(abc.ABC):
             np.atleast_2d(np.asarray(orders, dtype=np.int64)),
             want_assignment=want_assignment,
         )
+
+    # -- pricing entry point ------------------------------------------
+
+    def price_grid(
+        self,
+        prepared: PreparedBlocks,
+        grid: np.ndarray,
+        lockstep_min_rows: int | None = None,
+        mark: Callable[[str], None] | None = None,
+    ) -> np.ndarray:
+        """Compressed bit total of every genome of a ``(C, L, K)`` trit grid.
+
+        Orders each genome's MVs (:func:`covering_order`), covers the
+        blocks, and adds the Huffman codeword bits of the MV use
+        frequencies to the fill bits ``Σ freq·NU``.  Returns ``(C,)``
+        int64 totals, ``-1`` for a genome whose MVs leave a block
+        uncovered.  ``lockstep_min_rows`` is passed to
+        :func:`~repro.coding.huffman.huffman_total_bits_batch`;
+        ``mark``, if given, is called with ``"pack"``, ``"cover"`` and
+        ``"huffman"`` as each stage ends.
+        """
+        ordered_grid, orders, n_unspecified = covering_order(grid)
+        if mark:
+            mark("pack")
+        _, frequencies, uncovered = self.cover_grid(
+            prepared, ordered_grid, orders, want_assignment=False
+        )
+        if mark:
+            mark("cover")
+        totals = np.full(grid.shape[0], -1, dtype=np.int64)
+        valid = uncovered == 0
+        if valid.any():
+            valid_freqs = frequencies[valid]
+            codeword_bits = huffman_total_bits_batch(
+                valid_freqs, lockstep_min_rows=lockstep_min_rows
+            )
+            fill_bits = (valid_freqs * n_unspecified[valid]).sum(axis=1)
+            totals[valid] = codeword_bits + fill_bits
+        if mark:
+            mark("huffman")
+        return totals
 
     # -- shared helpers -----------------------------------------------
 

@@ -24,10 +24,15 @@ type; see ``docs/native-kernel.md`` for the full contract).  The loop
 is single-threaded: parallelism lives one level up, in the process
 backends, which fork workers that must not inherit a thread pool.
 
-Results are assembled from the C core's ``(first_rank, covered)``
-through the same :func:`~repro.core.kernels.base.accumulate_complete_rows`
-helper the GEMM and bitpack kernels share, so the backends cannot
-drift apart; the cross-kernel property suite pins bit-identity on top.
+Covering results are assembled from the C core's ``(first_rank,
+covered)`` through the same
+:func:`~repro.core.kernels.base.accumulate_complete_rows` helper the
+GEMM and bitpack kernels share, so the backends cannot drift apart.
+The fitness hot path, :meth:`NativeKernel.price_grid`, goes further:
+one ``repro_price`` call takes the raw trit genomes and returns each
+genome's compressed bit total, with MV ordering, lane packing,
+covering, the Huffman merge and the fill bits all in C.  The
+cross-kernel property suite pins bit-identity on both paths.
 When the toolchain is missing the registry reports this kernel
 unavailable and ``auto`` falls back to the array kernels — a missing
 compiler can cost speed, never a run.
@@ -39,6 +44,7 @@ import ctypes
 import os
 import sys
 import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,18 +73,22 @@ __all__ = [
 # core (same budget as the array kernels' chunking).
 _CHUNK_TENSOR_ELEMENTS = 1 << 20
 
-# The C ABI: one source, one entry point, one version probe.  Masks
+# The C ABI: one source, two entry points, one version probe.  Masks
 # are little-endian uint64 word lanes exactly as numpy packs them
 # (repro.core.blocks.pack_bits_to_words); all scalars are int64 so the
-# ctypes signatures cannot truncate a large table.  `first_rank`
-# receives the covering rank of each (genome, block) first match, or
-# n_vectors when nothing matches; `covered` receives the exact integer
-# covered weight per genome.  The popcount of the ANDed lane words is
-# the match test: zero popcount ⇔ no conflicting care bit ⇔ match.
+# ctypes signatures cannot truncate a large table.  `repro_cover`
+# writes the covering rank of each (genome, block) first match, or
+# n_vectors when nothing matches, and the exact integer covered weight
+# per genome.  `repro_price` starts from the raw trit genomes and
+# writes each genome's compressed bit total, or -1 when a block stays
+# uncovered.  The popcount of the ANDed lane words is the match test:
+# zero popcount ⇔ no conflicting care bit ⇔ match.
 NATIVE_C_SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
-#define REPRO_NATIVE_ABI 1
+#define REPRO_NATIVE_ABI 2
 
 int64_t repro_native_abi_version(void) { return REPRO_NATIVE_ABI; }
 
@@ -154,10 +164,131 @@ void repro_cover(const uint64_t *block_lanes,  /* D x W fused [b1|b0] */
         covered[c] = weight;
     }
 }
+
+/* Two-queue Huffman merge over ascending positive frequencies: merged
+ * weights emerge in non-decreasing order, so the two smallest pending
+ * nodes are always at the queue heads.  The total weighted code
+ * length is the sum of every merged weight; a single active symbol
+ * costs its frequency (a one-bit codeword). */
+static int64_t repro_huffman_total(const int64_t *leaves,
+                                   int64_t n_active,
+                                   int64_t *merged)
+{
+    if (n_active == 0) return 0;
+    if (n_active == 1) return leaves[0];
+    int64_t leaf = 0, head = 0, tail = 0, total = 0;
+    for (int64_t step = 0; step < n_active - 1; ++step) {
+        int64_t pair = 0;
+        for (int half = 0; half < 2; ++half) {
+            if (head >= tail || (leaf < n_active && leaves[leaf] <= merged[head]))
+                pair += leaves[leaf++];
+            else
+                pair += merged[head++];
+        }
+        merged[tail++] = pair;
+        total += pair;
+    }
+    return total;
+}
+
+/* Whole-genome pricing: for every genome of the C x L x K trit matrix
+ * (0, 1, 2 = U), order its MVs by unspecified count (stable counting
+ * sort), build the fused [mvZ|mv1] lanes in pack_bits_to_words bit
+ * order, cover every block with its first matching MV, and write the
+ * compressed bit total (Huffman codeword bits + fill bits), or -1
+ * when some block stays uncovered.  Returns 0, or -1 when the
+ * L- and W-sized scratch cannot be allocated. */
+int64_t repro_price(const int8_t   *genomes,      /* C x L x K trits */
+                    const uint64_t *block_lanes,  /* D x W fused [b1|b0] */
+                    const int64_t  *counts,       /* D block multiplicities */
+                    int64_t n_genomes,
+                    int64_t n_vectors,
+                    int64_t block_length,
+                    int64_t n_distinct,
+                    int64_t lane_words,
+                    int64_t *totals)              /* C out; -1 = uncovered */
+{
+    const int64_t n_scratch = n_vectors * lane_words + 5 * n_vectors
+                              + block_length + 2;
+    /* Cache-line aligned, so the vectorized match loop takes the same
+     * path whatever address malloc hands back. */
+    void *scratch = malloc((size_t)n_scratch * sizeof(uint64_t) + 64);
+    if (scratch == NULL) return -1;
+    uint64_t *lanes = (uint64_t *)(((uintptr_t)scratch + 63)
+                                   & ~(uintptr_t)63);
+    int64_t *n_unspecified = (int64_t *)(lanes + n_vectors * lane_words);
+    int64_t *order = n_unspecified + n_vectors;
+    int64_t *frequencies = order + n_vectors;
+    int64_t *leaves = frequencies + n_vectors;
+    int64_t *merged = leaves + n_vectors;
+    int64_t *bucket = merged + n_vectors;       /* block_length + 2 */
+
+    for (int64_t c = 0; c < n_genomes; ++c) {
+        const int8_t *genome = genomes + c * n_vectors * block_length;
+        memset(bucket, 0, (size_t)(block_length + 2) * sizeof(int64_t));
+        for (int64_t l = 0; l < n_vectors; ++l) {
+            const int8_t *mv = genome + l * block_length;
+            int64_t unspecified = 0;
+            for (int64_t k = 0; k < block_length; ++k)
+                unspecified += mv[k] == 2;
+            n_unspecified[l] = unspecified;
+            ++bucket[unspecified + 1];
+        }
+        for (int64_t v = 1; v <= block_length + 1; ++v)
+            bucket[v] += bucket[v - 1];
+        for (int64_t l = 0; l < n_vectors; ++l)
+            order[bucket[n_unspecified[l]]++] = l;
+
+        /* Lane bit of trit position k: zeros half first, MSB first. */
+        memset(lanes, 0, (size_t)(n_vectors * lane_words) * sizeof(uint64_t));
+        for (int64_t r = 0; r < n_vectors; ++r) {
+            const int8_t *mv = genome + order[r] * block_length;
+            uint64_t *lane = lanes + r * lane_words;
+            for (int64_t k = 0; k < block_length; ++k) {
+                int64_t bit;
+                if (mv[k] == 0) bit = 2 * block_length - 1 - k;
+                else if (mv[k] == 1) bit = block_length - 1 - k;
+                else continue;
+                lane[bit >> 6] |= (uint64_t)1 << (bit & 63);
+            }
+        }
+
+        memset(frequencies, 0, (size_t)n_vectors * sizeof(int64_t));
+        int complete = 1;
+        for (int64_t d = 0; d < n_distinct; ++d) {
+            int64_t rank = lane_words == 1
+                ? repro_first_match_w1(block_lanes[d], lanes, n_vectors)
+                : repro_first_match_wn(block_lanes + d * lane_words, lanes,
+                                       n_vectors, lane_words);
+            if (rank == n_vectors) {
+                if (counts[d] != 0) { complete = 0; break; }
+                continue;
+            }
+            frequencies[rank] += counts[d];
+        }
+        if (!complete) { totals[c] = -1; continue; }
+
+        int64_t n_active = 0, fill_bits = 0;
+        for (int64_t r = 0; r < n_vectors; ++r) {
+            int64_t freq = frequencies[r];
+            if (freq <= 0) continue;
+            fill_bits += freq * n_unspecified[order[r]];
+            int64_t i = n_active++;
+            while (i > 0 && leaves[i - 1] > freq) {
+                leaves[i] = leaves[i - 1];
+                --i;
+            }
+            leaves[i] = freq;
+        }
+        totals[c] = repro_huffman_total(leaves, n_active, merged) + fill_bits;
+    }
+    free(scratch);
+    return 0;
+}
 """
 
-_SYMBOLS = ("repro_native_abi_version", "repro_cover")
-_ABI_VERSION = 1
+_SYMBOLS = ("repro_native_abi_version", "repro_cover", "repro_price")
+_ABI_VERSION = 2
 
 # Process-wide load state: (library or None, unavailability reason).
 # One attempt per process — a compile failure is not going to heal
@@ -188,6 +319,12 @@ def _load_library() -> tuple[ctypes.CDLL | None, str | None]:
                     f"ABI version {abi}, this build expects {_ABI_VERSION}"
                 )
             library.repro_cover.restype = None
+            library.repro_price.restype = ctypes.c_int64
+            library.repro_price.argtypes = (
+                [ctypes.c_void_p] * 3
+                + [ctypes.c_int64] * 5
+                + [ctypes.c_void_p]
+            )
             _LOADED = (library, None)
         except NativeBuildError as error:
             _LOADED = (None, str(error))
@@ -317,7 +454,8 @@ class NativeKernel(CoveringKernel):
                 axis=1,
             )
             block_lanes[start:stop] = pack_bits_to_words(bits)
-        return _NativePrepared(**vars(base), block_lanes=block_lanes)
+        fields = vars(base) | {"counts": np.ascontiguousarray(base.counts)}
+        return _NativePrepared(**fields, block_lanes=block_lanes)
 
     # -- lane construction --------------------------------------------
 
@@ -425,3 +563,40 @@ class NativeKernel(CoveringKernel):
             np.atleast_2d(np.asarray(orders, dtype=np.int64)),
             want_assignment,
         )
+
+    def price_grid(
+        self,
+        prepared: PreparedBlocks,
+        grid: np.ndarray,
+        lockstep_min_rows: int | None = None,
+        mark: Callable[[str], None] | None = None,
+    ) -> np.ndarray:
+        # One C call per batch: MV ordering, lanes, covering, Huffman
+        # totals and fill bits all happen in repro_price, so the
+        # "cover" stage carries the Huffman merge too.
+        grid = np.ascontiguousarray(grid, dtype=np.int8)
+        n_genomes, n_vectors, block_length = grid.shape
+        if block_length != prepared.block_length:
+            raise ValueError(
+                f"trit grid has K={block_length}, the block table "
+                f"K={prepared.block_length}"
+            )
+        totals = np.empty(n_genomes, dtype=np.int64)
+        if mark:
+            mark("pack")
+        status = self._library.repro_price(
+            grid.ctypes.data,
+            prepared.block_lanes.ctypes.data,
+            prepared.counts.ctypes.data,
+            n_genomes,
+            n_vectors,
+            block_length,
+            prepared.n_distinct,
+            prepared.block_lanes.shape[-1],
+            totals.ctypes.data,
+        )
+        if status != 0:
+            raise MemoryError("repro_price could not allocate its scratch")
+        if mark:
+            mark("cover")
+        return totals

@@ -15,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.blocks import BlockSet, mask_word_count, pack_bits_to_words
+from repro.core.blocks_io import load_block_table, save_block_table
 from repro.core.compressor import compress_blocks
 from repro.core.config import CompressionConfig, EAParameters
-from repro.core.covering import cover_masks, cover_masks_batch
+from repro.core.covering import cover, cover_masks, cover_masks_batch
 from repro.core.decompressor import verify_roundtrip
-from repro.core.fitness import BatchCompressionRateFitness
+from repro.core.encoding import EncodingStrategy, build_encoding_table
+from repro.core.fitness import INVALID_FITNESS, BatchCompressionRateFitness
 from repro.core.kernels import (
     BitpackKernel,
     CoveringKernel,
@@ -34,7 +36,9 @@ from repro.core.kernels import (
     select_kernel_name,
     usable_kernels,
 )
+from repro.core.matching import MVSet
 from repro.core.optimizer import EAMVOptimizer
+from repro.core.trits import DC, ONE, ZERO
 from repro.parallel import ThreadBackend
 from repro.testdata.synthetic import (
     WIDE_BLOCK_LENGTH,
@@ -187,8 +191,6 @@ class TestCrossKernelParity:
 
     def test_single_genome_word_masks_promote_to_batch_of_one(self):
         """(L, W) masks + 1-D order must read as ONE genome, not L."""
-        from repro.core.matching import MVSet
-
         rng = np.random.default_rng(8)
         trits = rng.integers(0, 3, size=96 * 11).astype(np.int8)
         blocks = BlockSet.from_trit_array(trits, 96)
@@ -223,6 +225,171 @@ class TestCrossKernelParity:
             assert assignment.shape == (3, 0)
             assert (frequencies == 0).all()
             assert (uncovered == 0).all()
+
+
+def price_workload(rng, block_length, n_vectors, n_genomes):
+    """Block set + ``(C, L·K)`` genomes mixing the pricing edge cases.
+
+    Row 0 is all-U, so its first MV covers every block (a one-symbol
+    code); row 1 repeats one all-zero MV, which the table's all-one
+    block makes uncoverable; the other rows draw trits at a per-row
+    don't-care density.  Half the blocks repeat, so multiplicities and
+    frequency ties vary.
+    """
+    n_blocks = int(rng.integers(1, 40))
+    care = rng.random((n_blocks, block_length)) < rng.uniform(0.1, 0.6)
+    trits = np.where(care, rng.integers(0, 2, care.shape), DC)
+    trits = np.concatenate(
+        [trits, trits[: n_blocks // 2], np.full((1, block_length), ONE)]
+    ).astype(np.int8)
+    blocks = BlockSet.from_trit_array(trits.ravel(), block_length)
+    genome_length = n_vectors * block_length
+    dc_density = rng.uniform(0.3, 1.0, size=(n_genomes, 1))
+    genomes = np.where(
+        rng.random((n_genomes, genome_length)) < dc_density,
+        DC,
+        rng.integers(0, 2, (n_genomes, genome_length)),
+    ).astype(np.int8)
+    if n_genomes > 0:
+        genomes[0] = DC
+    if n_genomes > 1:
+        genomes[1] = ZERO
+    return blocks, genomes
+
+
+def reference_total(blocks, genome, block_length):
+    """Compressed bits via the single-genome covering + encoding table."""
+    mv_set = MVSet.from_genome(genome, block_length)
+    covering = cover(blocks, mv_set)
+    if covering.uncovered:
+        return -1
+    table = build_encoding_table(
+        mv_set, covering.frequency_map(), EncodingStrategy.HUFFMAN
+    )
+    return table.total_bits
+
+
+def rates_from_totals(blocks, totals):
+    original = blocks.original_bits
+    rates = np.full(totals.shape, INVALID_FITNESS)
+    valid = totals >= 0
+    rates[valid] = 100.0 * (original - totals[valid]) / original
+    return rates
+
+
+class TestPriceGrid:
+    """``price_grid`` totals — one native C call or the composed array
+    path — are identical on every kernel and price rates byte for
+    byte like the scalar reference ``evaluate_batch``."""
+
+    @pytest.mark.parametrize("block_length", [3, 12, 32, 33, 70])
+    @pytest.mark.parametrize("n_vectors", [1, 5, 64, 65, 130])
+    def test_totals_identical_across_kernels(self, block_length, n_vectors):
+        rng = np.random.default_rng(block_length * 1000 + n_vectors)
+        blocks, genomes = price_workload(rng, block_length, n_vectors, 9)
+        grid = genomes.reshape(len(genomes), n_vectors, block_length)
+        totals = {}
+        for name in KERNEL_NAMES:
+            kernel = get_kernel(name)
+            totals[name] = kernel.price_grid(kernel.prepare(blocks), grid)
+            assert totals[name].dtype == np.int64, name
+        reference = totals["scalar"]
+        assert reference[1] == -1  # the uncoverable all-zero row
+        assert reference[0] == blocks.n_blocks * (1 + block_length)
+        for name in KERNEL_NAMES:
+            assert (totals[name] == reference).all(), name
+        for row in range(len(genomes)):
+            assert reference[row] == reference_total(
+                blocks, genomes[row], block_length
+            ), row
+        scalar_rates = BatchCompressionRateFitness(
+            blocks, n_vectors, block_length, kernel="scalar"
+        ).evaluate_batch(genomes)
+        assert rates_from_totals(blocks, reference).tobytes() == (
+            scalar_rates.tobytes()
+        )
+        for name in KERNEL_NAMES:
+            rates = BatchCompressionRateFitness(
+                blocks, n_vectors, block_length, kernel=name
+            ).evaluate_batch(genomes)
+            assert rates.tobytes() == scalar_rates.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "block_length, n_vectors", [(12, 64), (33, 5), (70, 130)]
+    )
+    def test_full_generation_of_256(self, block_length, n_vectors):
+        rng = np.random.default_rng(n_vectors)
+        blocks, genomes = price_workload(rng, block_length, n_vectors, 256)
+        grid = genomes.reshape(256, n_vectors, block_length)
+        totals = {
+            name: get_kernel(name).price_grid(
+                get_kernel(name).prepare(blocks), grid
+            )
+            for name in KERNEL_NAMES
+        }
+        for name in KERNEL_NAMES:
+            assert (totals[name] == totals["scalar"]).all(), name
+        assert (totals["scalar"] == -1).any()
+        assert (totals["scalar"] >= 0).any()
+
+    @pytest.mark.parametrize("n_genomes", [0, 1])
+    def test_empty_and_single_genome_batches(self, n_genomes):
+        rng = np.random.default_rng(n_genomes)
+        blocks, genomes = price_workload(rng, 12, 5, n_genomes)
+        grid = genomes.reshape(n_genomes, 5, 12)
+        for name in KERNEL_NAMES:
+            kernel = get_kernel(name)
+            totals = kernel.price_grid(kernel.prepare(blocks), grid)
+            assert totals.shape == (n_genomes,), name
+            assert totals.dtype == np.int64, name
+            if n_genomes:
+                assert totals[0] == blocks.n_blocks * (1 + 12), name
+
+    def test_frequency_ties(self):
+        """Equal MV frequencies: every kernel lands on one total."""
+        rng = np.random.default_rng(5)
+        patterns = rng.integers(0, 2, size=(4, 12)).astype(np.int8)
+        while len({row.tobytes() for row in patterns}) < 4:
+            patterns = rng.integers(0, 2, size=(4, 12)).astype(np.int8)
+        blocks = BlockSet.from_trit_array(np.tile(patterns, (3, 1)).ravel(), 12)
+        # One MV per distinct block (3 uses each), then an unused all-U.
+        genome = np.concatenate([patterns.ravel(), np.full(12, DC)])
+        grid = genome.astype(np.int8).reshape(1, 5, 12)
+        expected = reference_total(blocks, genome.astype(np.int8), 12)
+        assert expected == 4 * 3 * 2  # four 2-bit codewords, no fill bits
+        for name in KERNEL_NAMES:
+            kernel = get_kernel(name)
+            totals = kernel.price_grid(kernel.prepare(blocks), grid)
+            assert totals.tolist() == [expected], name
+
+    @pytest.mark.parametrize("block_length", [12, 70])
+    def test_memmap_block_table(self, tmp_path, block_length):
+        rng = np.random.default_rng(block_length)
+        ram, genomes = price_workload(rng, block_length, 6, 16)
+        save_block_table(ram, tmp_path / "table")
+        mapped = load_block_table(tmp_path / "table")
+        assert isinstance(mapped.ones, np.memmap)
+        grid = genomes.reshape(16, 6, block_length)
+        reference = get_kernel("scalar").price_grid(
+            get_kernel("scalar").prepare(ram), grid
+        )
+        for name in KERNEL_NAMES:
+            kernel = get_kernel(name)
+            totals = kernel.price_grid(kernel.prepare(mapped), grid)
+            assert (totals == reference).all(), name
+
+    def test_stage_marks_in_order(self):
+        rng = np.random.default_rng(1)
+        blocks, genomes = price_workload(rng, 12, 5, 4)
+        for name in KERNEL_NAMES:
+            kernel = get_kernel(name)
+            stages = []
+            kernel.price_grid(
+                kernel.prepare(blocks),
+                genomes.reshape(4, 5, 12),
+                mark=stages.append,
+            )
+            assert stages[:2] == ["pack", "cover"], name
 
 
 class TestShardingKnobs:
@@ -499,8 +666,6 @@ class TestWideBlockEndToEnd:
             0, 3, size=(6, 4 * WIDE_BLOCK_LENGTH), dtype=np.int8
         )
         genomes[:, -WIDE_BLOCK_LENGTH:] = 2  # all-U tail: always coverable
-        from repro.core.matching import MVSet
-
         for name in KERNEL_NAMES:
             fitness = BatchCompressionRateFitness(
                 blocks,

@@ -115,6 +115,40 @@ class TestKernelFlag:
         assert len(set(outputs.values())) == 1  # byte-identical output
 
 
+class TestConfigValueErrors:
+    """A value the run configuration rejects is a usage error, not a
+    traceback: one argparse ``error:`` line on stderr, exit status 2,
+    nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--k", "0"], "block_length must be >= 1"),
+            (["--l", "0"], "n_vectors must be >= 1"),
+            (["--runs", "0"], "runs must be >= 1"),
+            (["--stagnation", "0"], "stagnation_limit must be >= 1"),
+        ],
+    )
+    def test_compress_reports_rejected_value(
+        self, tmp_path, capsys, argv, message
+    ):
+        path = tmp_path / "patterns.txt"
+        path.write_text("1100XX11\n0011XX00\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compress", str(path), *argv])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"repro: error: compress: {message}" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_atpg_reports_rejected_value(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["atpg", "c17", "--l", "0"])
+        assert exit_info.value.code == 2
+        assert "error: atpg: n_vectors must be >= 1" in capsys.readouterr().err
+
+
 class TestCacheCommand:
     def test_list_info_clear_roundtrip(self, tmp_path, monkeypatch, capsys):
         import json

@@ -49,9 +49,7 @@ __all__ = [
 
 # Below this many rows the per-row scalar merge beats the lockstep
 # batch machinery (whose step count scales with L, not the row count).
-# The no-profile default; ``repro tune`` measures the crossover per
-# machine and callers on the hot path pass it via ``lockstep_min_rows``
-# (see ``repro.tuning``).
+# Callers (tests) can force either path via ``lockstep_min_rows``.
 _LOCKSTEP_MIN_ROWS = 96
 
 
@@ -158,9 +156,8 @@ def huffman_total_bits_batch(
 
     The lockstep machinery costs ~``L`` vectorized steps regardless of
     ``C``, so small batches (below ``lockstep_min_rows``, default the
-    measured ``_LOCKSTEP_MIN_ROWS``; tuned per machine by ``repro
-    tune``) are routed through the per-row scalar merge instead —
-    same results, no fixed overhead.
+    measured ``_LOCKSTEP_MIN_ROWS``) are routed through the per-row
+    scalar merge instead — same results, no fixed overhead.
 
     >>> huffman_total_bits_batch(np.asarray([[5, 3, 2], [0, 7, 0]])).tolist()
     [15, 7]

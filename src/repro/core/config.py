@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..tuning.profile import TuningProfile
 from .encoding import EncodingStrategy
 from .kernels import AUTO_KERNEL, CoveringKernel, available_kernels
 
@@ -117,14 +116,6 @@ class CompressionConfig:
     (``auto``, ``native``, ``gemm``, ``bitpack``, ``scalar`` — see
     :mod:`repro.core.kernels`); every kernel produces bit-identical
     results, so this knob only moves the wall clock.
-
-    ``tuning`` pins a machine-measured
-    :class:`repro.tuning.TuningProfile` for every run of this
-    configuration (kernel auto cutovers, bitpack shard size, Huffman
-    lockstep cutover).  The profile travels *inside* the config, so
-    process-pool workers — which never see the CLI's process-wide
-    active profile — tune identically to the serial path.  It is
-    semantically inert — wall clock only, results byte-identical.
     """
 
     block_length: int = 12
@@ -133,7 +124,6 @@ class CompressionConfig:
     fill_default: int = 0
     runs: int = 5
     kernel: str | CoveringKernel = "auto"
-    tuning: TuningProfile | None = None
     ea: EAParameters = field(default_factory=EAParameters)
 
     def __post_init__(self) -> None:
@@ -150,10 +140,6 @@ class CompressionConfig:
                 )
         if self.n_vectors < 1:
             raise ValueError("n_vectors must be >= 1")
-        if self.tuning is not None and not isinstance(self.tuning, TuningProfile):
-            raise ValueError(
-                f"tuning must be a TuningProfile or None, got {self.tuning!r}"
-            )
         if self.fill_default not in (0, 1):
             raise ValueError("fill_default must be 0 or 1")
         if self.runs < 1:

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..coding.huffman import huffman_length_stats_batch
-from ..tuning.profile import TuningProfile, get_active_profile
 from .blocks import BlockSet, mask_word_count, pack_bits_to_words
 from .decoder_hw import decoder_area_units_batch, test_application_cycles_batch
 from .encoding import EncodingStrategy, build_encoding_table
@@ -102,14 +101,6 @@ class BatchCompressionRateFitness:
     directly; ``"auto"`` resolves from the workload shape (C, D, L, K)
     when the first batch arrives.
 
-    ``tuning`` pins a :class:`repro.tuning.TuningProfile` whose
-    machine-measured thresholds replace the shipped defaults for
-    kernel auto-selection, bitpack shard sizing and the Huffman
-    lockstep cutover; when ``None``, the process-wide active profile
-    applies, and without one the module constants do.  Every
-    configuration prices bit-identically, so these knobs only move
-    the wall clock.
-
     >>> blocks = BlockSet.from_string("111 000 111 111", 3)
     >>> fit = BatchCompressionRateFitness(blocks, n_vectors=2, block_length=3)
     >>> genomes = MVSet.from_strings(["111", "UUU"]).to_genome()[None, :]
@@ -125,7 +116,6 @@ class BatchCompressionRateFitness:
         strategy: EncodingStrategy = EncodingStrategy.HUFFMAN,
         invalid_fitness: float = INVALID_FITNESS,
         kernel: str | CoveringKernel = AUTO_KERNEL,
-        tuning: TuningProfile | None = None,
     ) -> None:
         if blocks.block_length != block_length:
             raise ValueError(
@@ -142,9 +132,6 @@ class BatchCompressionRateFitness:
         self._block_length = block_length
         self._strategy = strategy
         self._invalid_fitness = invalid_fitness
-        # Threshold resolution order: explicit profile > process-wide
-        # active profile > shipped module defaults (profile absent).
-        self._tuning = tuning if tuning is not None else get_active_profile()
         # The kernel choice; "auto" resolves lazily on the first batch
         # (the heuristic wants the generation size C), concrete names
         # resolve and prepare the block table right away.
@@ -163,7 +150,6 @@ class BatchCompressionRateFitness:
                 n_distinct=self._blocks.n_distinct,
                 n_vectors=self._n_vectors,
                 block_length=self._block_length,
-                profile=self._tuning,
             )
             self._prepared = self._kernel.prepare(self._blocks)
         return self._kernel
@@ -182,11 +168,6 @@ class BatchCompressionRateFitness:
     def genome_length(self) -> int:
         """L·K — expected gene count per genome."""
         return self._n_vectors * self._block_length
-
-    @property
-    def tuning(self) -> TuningProfile | None:
-        """The tuning profile resolved at construction (``None`` = defaults)."""
-        return self._tuning
 
     @property
     def mv_cache_stats(self) -> MVCacheStats:
@@ -277,11 +258,6 @@ class BatchCompressionRateFitness:
         totals = kernel.price_grid(
             self._prepared,
             matrix.reshape(n_genomes, self._n_vectors, self._block_length),
-            lockstep_min_rows=(
-                None
-                if self._tuning is None
-                else self._tuning.huffman_lockstep_min_rows
-            ),
             mark=clock.mark if clock else None,
         )
         rates = np.full(n_genomes, self._invalid_fitness, dtype=np.float64)
@@ -383,7 +359,6 @@ class CompressionRateFitness:
         strategy: EncodingStrategy = EncodingStrategy.HUFFMAN,
         invalid_fitness: float = INVALID_FITNESS,
         kernel: str | CoveringKernel = AUTO_KERNEL,
-        tuning: TuningProfile | None = None,
     ) -> None:
         self._batch = BatchCompressionRateFitness(
             blocks,
@@ -392,7 +367,6 @@ class CompressionRateFitness:
             strategy,
             invalid_fitness,
             kernel,
-            tuning,
         )
         self._n_vectors = n_vectors
         self._block_length = block_length

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from ...tuning.profile import TuningProfile, get_active_profile
 from .base import (
     CoveringKernel,
     PreparedBlocks,
@@ -99,48 +98,26 @@ _AVAILABILITY: dict[str, Callable[[], str | None]] = {
 # with the reason at resolution time, not at parse time.
 KERNEL_CHOICES = (AUTO_KERNEL, *sorted(_REGISTRY))
 
-# Auto-selection thresholds: the no-profile defaults, calibrated on
-# the workloads of ``benchmarks/bench_batch.py`` and re-confirmed by
-# the ``repro tune`` prober (single-core CI-class container; see
-# ROADMAP "Tuning architecture").  Bitpack's fused conflict lane holds
-# 2K bits; while it fits in at most two uint64 words (K <= 64) the
-# integer kernel measured 1.3–1.4× faster once the distinct table
-# outgrows BLAS's cache-resident sweet spot (medium D≈860, large
-# D≈3330), while tiny tables (small D≈150) stay GEMM territory.  Past
-# two lane words the per-element AND loop grows with K while BLAS
-# keeps its compute density — gemm wins there until the table is
-# large enough that its 4-bytes-per-bit operands go bandwidth-bound.
-# A :class:`repro.tuning.TuningProfile` (explicit argument, or the
-# process-wide active profile set by ``--profile``) overrides the
-# distinct-table cutovers per machine; these module constants remain
-# the fallback so behavior without a profile is unchanged.
-# Recalibration (PR 5, `repro tune` full mode on the single-core
-# CI-class container): the narrow crossover measured D>=512 at the
-# probe shape (C=32, L=32) vs the 256 shipped from the L=64 bench
-# workloads — the crossover moves with L because GEMM amortizes its
-# operand streaming over more MV rows.  The shipped default keeps the
-# bench-shape value (the EA's real shape); shape sensitivity is what
-# `--profile` is for.  The wide crossover never arrived within the
-# probed range (D<=4096) on this container — BLAS keeps multi-word
-# lanes ahead longer than the PR-3 estimate — so 2048 stands as a
-# conservative bench-derived default there too.
+# Auto-selection thresholds for machines without the native kernel,
+# calibrated on the workloads of ``benchmarks/bench_batch.py``.
+# Bitpack's fused conflict lane holds 2K bits; while it fits in at
+# most two uint64 words (K <= 64) the integer kernel measured
+# 1.3–1.4× faster once the distinct table outgrows BLAS's
+# cache-resident sweet spot (medium D≈860, large D≈3330), while tiny
+# tables (small D≈150) stay GEMM territory.  Past two lane words the
+# per-element AND loop grows with K while BLAS keeps its compute
+# density — gemm wins there until the table is large enough that its
+# 4-bytes-per-bit operands go bandwidth-bound.  The narrow crossover
+# moves with L (GEMM amortizes its operand streaming over more MV
+# rows); 256 is the value at the EA's real shape (L=64).  The wide
+# crossover stayed beyond D=4096 on a single-core container, so 2048
+# is a conservative bench-derived value.
 BITPACK_MAX_LANE_WORDS = 2
 BITPACK_MIN_DISTINCT = 256
 BITPACK_WIDE_MIN_DISTINCT = 2048
-# Native-kernel cutovers (PR 8): on the probed container the compiled
-# AND+popcount loop beat BOTH array kernels at every batched shape —
-# narrow from D=64 and wide from D=256, the smallest points probed —
-# growing to ~3.6× over bitpack on the bandwidth-bound large table.
-# A floor of 1 therefore means "whenever the batch leaves the scalar
-# corner"; the tuning prober raises these per machine if an exotic
-# BLAS ever wins a region back.  Only consulted when the native
-# kernel is actually available.
-NATIVE_MIN_DISTINCT = 1
-NATIVE_WIDE_MIN_DISTINCT = 1
 # Below this many match tests (distinct blocks × MVs) a single
 # uncached covering is cheaper as the plain Python loop than as
-# batched tensor setup.  (Not probed by ``repro tune``: the scalar
-# corner is interactive-only and off the EA hot path.)
+# batched tensor setup.
 SCALAR_MAX_WORK = 512
 
 
@@ -229,19 +206,16 @@ def select_kernel_name(
     n_distinct: int,
     n_vectors: int,
     block_length: int,
-    profile: TuningProfile | None = None,
 ) -> str:
-    """The ``auto`` heuristic, keyed on the workload shape (C, D, L, K).
+    """The ``auto`` rule, keyed on the workload shape (C, D, L, K).
 
     * The single-genome, tiny-covering corner (``D·L`` match tests
       under ``SCALAR_MAX_WORK``; interactive ``cover`` calls) goes to
       ``scalar``: batched tensor setup costs more than the loop.
-    * When the compiled ``native`` kernel is available, batched shapes
-      past its (per-lane-width) distinct-table floor go to it — on the
-      shipped defaults that is every batched shape, matching the
-      measurement that the C loop beat both array kernels everywhere
-      probed.  Unavailable (no compiler) means this rule silently
-      vanishes and the array heuristics below decide alone.
+    * Every other shape goes to the compiled ``native`` kernel when it
+      is available — the C loop beat both array kernels at every
+      batched shape measured.  Unavailable (no compiler) means this
+      rule silently vanishes and the array rules below decide alone.
     * Narrow fused lanes (2K bits in at most two uint64 words) over a
       distinct table past ``BITPACK_MIN_DISTINCT`` go to ``bitpack``
       — measured 1.3–1.4× over GEMM there, growing with the table as
@@ -251,38 +225,15 @@ def select_kernel_name(
       back to ``bitpack`` once the table is large enough that GEMM's
       4-bytes-per-bit operands dominate.
     * Everything else (tiny tables) stays with ``gemm``.
-
-    ``profile`` (or, when omitted, the process-wide active profile)
-    replaces the distinct-table cutovers with machine-measured ones;
-    without either, the module constants above apply unchanged.
     """
-    if profile is None:
-        profile = get_active_profile()
-    if profile is None:
-        min_distinct = BITPACK_MIN_DISTINCT
-        wide_min_distinct = BITPACK_WIDE_MIN_DISTINCT
-        scalar_max_work = SCALAR_MAX_WORK
-        native_min_distinct = NATIVE_MIN_DISTINCT
-        native_wide_min_distinct = NATIVE_WIDE_MIN_DISTINCT
-    else:
-        min_distinct = profile.bitpack_min_distinct
-        wide_min_distinct = profile.bitpack_wide_min_distinct
-        scalar_max_work = profile.scalar_max_work
-        native_min_distinct = profile.native_min_distinct
-        native_wide_min_distinct = profile.native_wide_min_distinct
-    if n_genomes <= 1 and n_distinct * n_vectors <= scalar_max_work:
+    if n_genomes <= 1 and n_distinct * n_vectors <= SCALAR_MAX_WORK:
         return ScalarKernel.name
-    lane_words = -(-2 * block_length // 64)
-    narrow = lane_words <= BITPACK_MAX_LANE_WORDS
-    native_floor = native_min_distinct if narrow else native_wide_min_distinct
-    if (
-        n_distinct >= native_floor
-        and kernel_unavailable_reason(NativeKernel.name) is None
-    ):
+    if n_distinct >= 1 and kernel_unavailable_reason(NativeKernel.name) is None:
         return NativeKernel.name
-    if narrow and n_distinct >= min_distinct:
+    narrow = -(-2 * block_length // 64) <= BITPACK_MAX_LANE_WORDS
+    if narrow and n_distinct >= BITPACK_MIN_DISTINCT:
         return BitpackKernel.name
-    if n_distinct >= wide_min_distinct:
+    if n_distinct >= BITPACK_WIDE_MIN_DISTINCT:
         return BitpackKernel.name
     return GemmKernel.name
 
@@ -293,14 +244,8 @@ def resolve_kernel(
     n_distinct: int,
     n_vectors: int,
     block_length: int,
-    profile: TuningProfile | None = None,
 ) -> CoveringKernel:
     """Turn a kernel choice (name, ``auto`` or instance) into a kernel.
-
-    ``profile`` tunes both halves of the decision: ``auto`` selects
-    with the profile's cutovers, and a bitpack instance is built with
-    the profile's ``bitpack_shard_size`` (when set) instead of the
-    kernel's cache-budget autosizing.
 
     Availability is threaded through both paths asymmetrically:
     ``auto`` only ever selects usable kernels (an unavailable
@@ -311,12 +256,8 @@ def resolve_kernel(
     """
     if isinstance(choice, CoveringKernel):
         return choice
-    if profile is None:
-        profile = get_active_profile()
     if choice == AUTO_KERNEL:
-        choice = select_kernel_name(
-            n_genomes, n_distinct, n_vectors, block_length, profile=profile
-        )
+        choice = select_kernel_name(n_genomes, n_distinct, n_vectors, block_length)
     elif choice in _REGISTRY:
         reason = kernel_unavailable_reason(choice)
         if reason is not None:
@@ -324,10 +265,4 @@ def resolve_kernel(
                 f"covering kernel {choice!r} is unavailable on this "
                 f"machine: {reason}"
             )
-    if (
-        choice == BitpackKernel.name
-        and profile is not None
-        and profile.bitpack_shard_size is not None
-    ):
-        return get_kernel(choice, shard_size=profile.bitpack_shard_size)
     return get_kernel(choice)

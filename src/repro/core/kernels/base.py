@@ -304,7 +304,6 @@ class CoveringKernel(abc.ABC):
         self,
         prepared: PreparedBlocks,
         grid: np.ndarray,
-        lockstep_min_rows: int | None = None,
         mark: Callable[[str], None] | None = None,
     ) -> np.ndarray:
         """Compressed bit total of every genome of a ``(C, L, K)`` trit grid.
@@ -313,10 +312,8 @@ class CoveringKernel(abc.ABC):
         blocks, and adds the Huffman codeword bits of the MV use
         frequencies to the fill bits ``Σ freq·NU``.  Returns ``(C,)``
         int64 totals, ``-1`` for a genome whose MVs leave a block
-        uncovered.  ``lockstep_min_rows`` is passed to
-        :func:`~repro.coding.huffman.huffman_total_bits_batch`;
-        ``mark``, if given, is called with ``"pack"``, ``"cover"`` and
-        ``"huffman"`` as each stage ends.
+        uncovered.  ``mark``, if given, is called with ``"pack"``,
+        ``"cover"`` and ``"huffman"`` as each stage ends.
         """
         ordered_grid, orders, n_unspecified = covering_order(grid)
         if mark:
@@ -330,9 +327,7 @@ class CoveringKernel(abc.ABC):
         valid = uncovered == 0
         if valid.any():
             valid_freqs = frequencies[valid]
-            codeword_bits = huffman_total_bits_batch(
-                valid_freqs, lockstep_min_rows=lockstep_min_rows
-            )
+            codeword_bits = huffman_total_bits_batch(valid_freqs)
             fill_bits = (valid_freqs * n_unspecified[valid]).sum(axis=1)
             totals[valid] = codeword_bits + fill_bits
         if mark:

@@ -21,10 +21,7 @@ Two axes of blocking keep every temporary cache-resident:
   ``(chunk, L, shard)`` conflict tensor fits in cache no matter how
   large the distinct table grows.  Shards are independent — covering
   rank and covered weight per shard — and only tiny per-genome
-  reductions cross shard boundaries, so shards can also fan out
-  across threads (``shard_backend``): the integer ufuncs release the
-  GIL, making a :class:`~repro.parallel.ThreadBackend` an honest
-  parallel axis inside one fitness call.
+  reductions cross shard boundaries.
 """
 
 from __future__ import annotations
@@ -92,20 +89,14 @@ class BitpackKernel(CoveringKernel):
     shard_size:
         Distinct blocks per shard; ``None`` picks a size that keeps
         each shard's conflict tensor at ``_SHARD_TENSOR_BYTES``.
-    shard_backend:
-        Optional :class:`repro.parallel.ExecutionBackend` used to fan
-        the independent shards of each genome chunk out across
-        threads.  Workers fill disjoint result slices, so the backend
-        never changes the outcome, only the wall clock.
     """
 
     name = "bitpack"
 
-    def __init__(self, shard_size: int | None = None, shard_backend=None) -> None:
+    def __init__(self, shard_size: int | None = None) -> None:
         if shard_size is not None and shard_size < 1:
             raise ValueError(f"shard_size must be >= 1, got {shard_size}")
         self._shard_size = shard_size
-        self._shard_backend = shard_backend
 
     def prepare_masks(
         self,
@@ -238,11 +229,7 @@ class BitpackKernel(CoveringKernel):
                 (span, shard_cap, padded_vectors), dtype=bool
             )
 
-            def cover_shard(
-                shard: slice,
-                conflict_buf=conflict_buf,
-                match_buf=match_buf,
-            ) -> np.ndarray:
+            def cover_shard(shard: slice) -> np.ndarray:
                 size = shard.stop - shard.start
                 conflict = conflict_buf[:, :size]
                 matches = match_buf[:, :size]
@@ -261,34 +248,11 @@ class BitpackKernel(CoveringKernel):
                     )
                 np.equal(conflict, 0, out=matches[:, :, :n_vectors])
                 rank, hit = first_match_rank(matches)
-                first_rank[:, shard] = rank  # disjoint slice per shard
+                first_rank[:, shard] = rank
                 # Covered weight (exact: integer-valued float64 sums).
                 return hit @ prepared.counts_f[shard]
 
-            backend = self._shard_backend
-            if backend is None or len(shards) == 1:
-                partials = [cover_shard(shard) for shard in shards]
-            else:
-                # Workers fill disjoint `first_rank` slices and hand
-                # their weight vectors back through the ordered map, so
-                # the reduction below is single-threaded and the result
-                # is independent of worker scheduling.  Each worker
-                # gets private scratch buffers — the shared ones would
-                # race.
-                def cover_shard_private(shard: slice) -> np.ndarray:
-                    size = shard.stop - shard.start
-                    return cover_shard(
-                        shard,
-                        conflict_buf=np.empty(
-                            (span, size, n_vectors), dtype=block_lanes.dtype
-                        ),
-                        match_buf=np.zeros(
-                            (span, size, padded_vectors), dtype=bool
-                        ),
-                    )
-
-                partials = backend.map(cover_shard_private, shards)
-
+            partials = [cover_shard(shard) for shard in shards]
             covered_weight = np.sum(partials, axis=0)
             uncovered[start:stop] = total_count - covered_weight.astype(
                 np.int64

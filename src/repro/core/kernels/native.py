@@ -342,9 +342,9 @@ def _load_library() -> tuple[ctypes.CDLL | None, str | None]:
 def native_status() -> tuple[bool, str | None]:
     """(available, unavailability reason) — compiles on first call.
 
-    The registry's availability hook: ``auto`` selection, the tuning
-    prober and ``repro kernels`` all ask this instead of trying (and
-    failing) to construct the kernel.
+    The registry's availability hook: ``auto`` selection and ``repro
+    kernels`` both ask this instead of trying (and failing) to
+    construct the kernel.
     """
     library, reason = _load_library()
     return library is not None, reason
@@ -568,7 +568,6 @@ class NativeKernel(CoveringKernel):
         self,
         prepared: PreparedBlocks,
         grid: np.ndarray,
-        lockstep_min_rows: int | None = None,
         mark: Callable[[str], None] | None = None,
     ) -> np.ndarray:
         # One C call per batch: MV ordering, lanes, covering, Huffman

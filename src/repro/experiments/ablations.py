@@ -39,7 +39,6 @@ from ..parallel import (
     grouped_map,
 )
 from ..testdata.test_set import TestSet
-from ..tuning.profile import TuningProfile
 from .checkpoint import CheckpointStore
 
 __all__ = [
@@ -136,7 +135,6 @@ def kl_sweep(
     backend: ExecutionBackend | None = None,
     progress: Callable[[str], None] | None = None,
     kernel: str = "auto",
-    tuning: TuningProfile | None = None,
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
     checkpoint: CheckpointStore | None = None,
@@ -151,7 +149,6 @@ def kl_sweep(
                 n_vectors=n_vectors,
                 runs=runs,
                 kernel=kernel,
-                tuning=tuning,
                 ea=ea,
             ),
         )
@@ -173,7 +170,6 @@ def operator_sweep(
     backend: ExecutionBackend | None = None,
     progress: Callable[[str], None] | None = None,
     kernel: str = "auto",
-    tuning: TuningProfile | None = None,
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
     checkpoint: CheckpointStore | None = None,
@@ -206,7 +202,7 @@ def operator_sweep(
             label,
             CompressionConfig(
                 block_length=block_length, n_vectors=n_vectors, runs=runs,
-                kernel=kernel, tuning=tuning, ea=ea,
+                kernel=kernel, ea=ea,
             ),
         )
         for label, ea in variants.items()
@@ -227,7 +223,6 @@ def seeding_ablation(
     backend: ExecutionBackend | None = None,
     progress: Callable[[str], None] | None = None,
     kernel: str = "auto",
-    tuning: TuningProfile | None = None,
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
     checkpoint: CheckpointStore | None = None,
@@ -239,7 +234,7 @@ def seeding_ablation(
             label,
             CompressionConfig(
                 block_length=block_length, n_vectors=n_vectors, runs=runs,
-                kernel=kernel, tuning=tuning, ea=ea,
+                kernel=kernel, ea=ea,
             ),
         )
         for label, ea in (
@@ -263,7 +258,6 @@ def subsumption_ablation(
     backend: ExecutionBackend | None = None,
     progress: Callable[[str], None] | None = None,
     kernel: str = "auto",
-    tuning: TuningProfile | None = None,
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
 ) -> list[AblationPoint]:
@@ -275,7 +269,7 @@ def subsumption_ablation(
     ea = EAParameters(stagnation_limit=30, max_evaluations=1200)
     config = CompressionConfig(
         block_length=block_length, n_vectors=n_vectors, runs=runs,
-        kernel=kernel, tuning=tuning, ea=ea,
+        kernel=kernel, ea=ea,
     )
     blocks = test_set.blocks(block_length)
     result = EAMVOptimizer(config, seed=seed, backend=backend).optimize(
@@ -314,7 +308,6 @@ def decoder_cost_study(
     seed: int = 7,
     backend: ExecutionBackend | None = None,
     kernel: str = "auto",
-    tuning: TuningProfile | None = None,
 ) -> dict[str, dict[str, float]]:
     """Payload vs code-table cost for 9C and the EA decoder.
 
@@ -329,7 +322,6 @@ def decoder_cost_study(
         n_vectors=n_vectors,
         runs=1,
         kernel=kernel,
-        tuning=tuning,
         ea=EAParameters(stagnation_limit=30, max_evaluations=1200),
     )
     blocks = test_set.blocks(block_length)

@@ -13,9 +13,9 @@ The fingerprint is a SHA-256 over everything that determines a run's
 result and *nothing else*:
 
 * the semantic configuration — ``K``, ``L``, strategy, fill, run
-  count and every EA parameter.  Performance-only knobs (kernel
-  choice, tuning profile) are excluded: they never change results,
-  so a resume may legally switch them;
+  count and every EA parameter.  The performance-only kernel choice
+  is excluded: it never changes results, so a resume may legally
+  switch it;
 * the run index and the task's ``SeedSequence`` ``(entropy,
   spawn_key)`` — the spawn key encodes the task's position in the
   seed spawn tree, so reshaping a sweep cannot produce false hits;
@@ -79,10 +79,9 @@ def default_checkpoint_root() -> Path:
 def _semantic_config(config: CompressionConfig) -> dict[str, Any]:
     """The config fields that determine results — and nothing else.
 
-    ``kernel`` and ``tuning`` are deliberately absent: every kernel
-    and tuning profile produces bit-identical rates (the repo's parity
-    tests pin this), so a resumed run may switch them freely without
-    invalidating work.
+    ``kernel`` is deliberately absent: every kernel produces
+    bit-identical rates (the repo's parity tests pin this), so a
+    resumed run may switch it freely without invalidating work.
     """
     ea = config.ea
     return {

@@ -141,7 +141,6 @@ def execute_pareto_task(task: ParetoRunTask) -> ParetoRunOutcome:
         block_length=config.block_length,
         strategy=config.strategy,
         kernel=config.kernel,
-        tuning=config.tuning,
     )
     engine = MultiObjectiveEngine(
         fitness=fitness,

@@ -33,8 +33,8 @@ from ..testdata.registry import (
     TABLE2_AVERAGES,
     TABLE2_PATH_DELAY,
     PaperRow,
+    rows_by_name,
 )
-from ..tuning.profile import TuningProfile
 from .checkpoint import CheckpointStore
 from .runner import QUICK, ExperimentBudget, RowResult, run_row
 
@@ -122,14 +122,11 @@ def _build(
     progress: Callable[[str], None] | None,
     backend: ExecutionBackend | None,
     kernel: str,
-    tuning: TuningProfile | None,
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
     checkpoint: CheckpointStore | None = None,
 ) -> TableResult:
-    selected = [
-        row for row in table if circuits is None or row.circuit in set(circuits)
-    ]
+    selected = list(table) if circuits is None else rows_by_name(table, circuits)
     if not selected:
         raise ValueError("no circuits selected")
     backend = backend or SerialBackend()
@@ -159,7 +156,6 @@ def _build(
                 budget=budget,
                 seed=seed,
                 kernel=kernel,
-                tuning=tuning,
                 retry=retry,
                 timeout=timeout,
                 checkpoint=checkpoint,
@@ -175,7 +171,7 @@ def _build(
         for row in selected:
             result = run_row(
                 row, kind, budget=budget, seed=seed, backend=backend,
-                kernel=kernel, tuning=tuning,
+                kernel=kernel,
                 retry=retry, timeout=timeout, checkpoint=checkpoint,
             )
             results.append(result)
@@ -196,7 +192,6 @@ def build_table1(
     progress: Callable[[str], None] | None = None,
     backend: ExecutionBackend | None = None,
     kernel: str = "auto",
-    tuning: TuningProfile | None = None,
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
     checkpoint: CheckpointStore | None = None,
@@ -221,7 +216,6 @@ def build_table1(
         progress,
         backend,
         kernel,
-        tuning,
         retry=retry,
         timeout=timeout,
         checkpoint=checkpoint,
@@ -235,7 +229,6 @@ def build_table2(
     progress: Callable[[str], None] | None = None,
     backend: ExecutionBackend | None = None,
     kernel: str = "auto",
-    tuning: TuningProfile | None = None,
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
     checkpoint: CheckpointStore | None = None,
@@ -252,7 +245,6 @@ def build_table2(
         progress,
         backend,
         kernel,
-        tuning,
         retry=retry,
         timeout=timeout,
         checkpoint=checkpoint,

@@ -27,7 +27,6 @@ import numpy as np
 from ..core.blocks import BlockSet
 from ..core.encoding import EncodingStrategy
 from ..core.fitness import BatchCompressionRateFitness
-from ..tuning.profile import TuningProfile
 
 __all__ = ["FitnessKey", "TableEntry", "WarmRegistry", "block_table_digest"]
 
@@ -96,15 +95,9 @@ class TableEntry:
 class WarmRegistry:
     """Digest-keyed warm state shared by every request of the daemon."""
 
-    def __init__(self, tuning: TuningProfile | None = None) -> None:
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self._tables: dict[str, TableEntry] = {}
-        self._tuning = tuning
-
-    @property
-    def tuning(self) -> TuningProfile | None:
-        """The tuning profile every served engine runs with."""
-        return self._tuning
 
     def register(self, blocks: BlockSet, name: str = "") -> TableEntry:
         """Register (or re-find) a block table; returns its entry.
@@ -149,7 +142,6 @@ class WarmRegistry:
                     block_length=key.block_length,
                     strategy=key.strategy,
                     kernel=key.kernel,
-                    tuning=self._tuning,
                 )
                 entry.engines[key] = engine
             return engine

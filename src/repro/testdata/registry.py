@@ -17,9 +17,16 @@ both the widths and the transcription of the table.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-__all__ = ["PaperRow", "TABLE1_STUCK_AT", "TABLE2_PATH_DELAY", "row_by_name"]
+__all__ = [
+    "PaperRow",
+    "TABLE1_STUCK_AT",
+    "TABLE2_PATH_DELAY",
+    "row_by_name",
+    "rows_by_name",
+]
 
 
 @dataclass(frozen=True)
@@ -169,3 +176,25 @@ def row_by_name(table: tuple[PaperRow, ...], circuit: str) -> PaperRow:
         if row.circuit == circuit:
             return row
     raise KeyError(f"circuit {circuit!r} not in table")
+
+
+def rows_by_name(
+    table: tuple[PaperRow, ...], circuits: Sequence[str]
+) -> list[PaperRow]:
+    """The rows of ``table`` named in ``circuits``, in table order.
+
+    Every name must be a circuit of the table: a typo raises
+    ``ValueError`` naming it instead of silently shrinking the run.
+
+    >>> [row.circuit for row in rows_by_name(TABLE1_STUCK_AT, ["s349", "s298"])]
+    ['s298', 's349']
+    """
+    known = [row.circuit for row in table]
+    unknown = [name for name in dict.fromkeys(circuits) if name not in known]
+    if unknown:
+        raise ValueError(
+            f"unknown circuit(s) {' '.join(unknown)}; "
+            f"choose from {', '.join(known)}"
+        )
+    wanted = set(circuits)
+    return [row for row in table if row.circuit in wanted]

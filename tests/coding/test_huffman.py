@@ -207,6 +207,26 @@ class TestHuffmanTotalBits:
         for row in range(n_rows):
             assert totals[row] == huffman_total_bits(matrix[row])
 
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_lockstep_override_is_parity_safe(self, n_symbols, seed):
+        """Forcing either path with ``lockstep_min_rows`` never moves a
+        total: a sub-threshold slice through lockstep, a batch above the
+        default threshold through the per-row merge."""
+        from repro.coding.huffman import _LOCKSTEP_MIN_ROWS
+
+        rng = np.random.default_rng(seed)
+        matrix = rng.integers(0, 40, (_LOCKSTEP_MIN_ROWS + 34, n_symbols))
+        matrix[rng.random(matrix.shape) < 0.3] = 0
+        default = huffman_total_bits_batch(matrix)
+        per_row = huffman_total_bits_batch(matrix, lockstep_min_rows=1 << 30)
+        assert (per_row == default).all()
+        head = matrix[:24]
+        lockstep = huffman_total_bits_batch(head, lockstep_min_rows=1)
+        assert (lockstep == per_row[:24]).all()
+
 
 class TestHuffmanLengthStats:
     """Aggregate length statistics must match the dict code exactly.

@@ -57,20 +57,6 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
-@pytest.fixture(autouse=True)
-def _reset_active_tuning_profile():
-    """Keep the process-wide tuning profile from leaking across tests.
-
-    CLI `--profile` (and tests exercising it) install an active
-    profile; thresholds are semantically inert, but a leaked profile
-    would silently change which code paths later tests exercise.
-    """
-    yield
-    from repro.tuning.profile import set_active_profile
-
-    set_active_profile(None)
-
-
 def trit_strings(min_size: int = 1, max_size: int = 200) -> st.SearchStrategy[str]:
     """Strategy producing 0/1/X test-set strings."""
     return st.text(alphabet="01X", min_size=min_size, max_size=max_size)

@@ -39,10 +39,11 @@ from repro.core.kernels import (
 from repro.core.matching import MVSet
 from repro.core.optimizer import EAMVOptimizer
 from repro.core.trits import DC, ONE, ZERO
-from repro.parallel import ThreadBackend
 from repro.testdata.synthetic import (
     WIDE_BLOCK_LENGTH,
     WIDE_BLOCK_SPEC,
+    SyntheticSpec,
+    synthetic_test_set,
     wide_block_test_set,
 )
 
@@ -415,21 +416,6 @@ class TestShardingKnobs:
         for ours, theirs in zip(results[0], results[1]):
             assert (ours == theirs).all()
 
-    def test_thread_backend_shards_match_serial(self):
-        rng = np.random.default_rng(5)
-        workload = random_workload(rng, 24)
-        block_ones, block_zeros, counts, mv_ones, mv_zeros, orders = workload
-        serial = BitpackKernel(shard_size=3)
-        threaded = BitpackKernel(shard_size=3, shard_backend=ThreadBackend(2))
-        results = []
-        for kern in (serial, threaded):
-            prepared = kern.prepare_masks(block_ones, block_zeros, counts, 24)
-            results.append(
-                kern.cover_masks(prepared, mv_ones, mv_zeros, orders)
-            )
-        for ours, theirs in zip(results[0], results[1]):
-            assert (ours == theirs).all()
-
     def test_shard_size_validated(self):
         with pytest.raises(ValueError):
             BitpackKernel(shard_size=0)
@@ -492,22 +478,6 @@ class TestRegistry:
             (256, 4096, 64, 96),
         ):
             assert select_kernel_name(*shape) == NativeKernel.name, shape
-
-    @requires_native
-    def test_profile_can_raise_native_floors(self):
-        from repro.tuning import TuningProfile
-
-        profile = TuningProfile(
-            native_min_distinct=10_000, native_wide_min_distinct=10_000
-        )
-        assert (
-            select_kernel_name(256, 900, 64, 12, profile=profile)
-            == BitpackKernel.name
-        )
-        assert (
-            select_kernel_name(256, 400, 64, 96, profile=profile)
-            == GemmKernel.name
-        )
 
     def test_kernels_repr_names(self):
         for name in KERNEL_NAMES:
@@ -629,6 +599,31 @@ class TestSeededRunsAcrossKernels:
             assert result.best_rate == reference.best_rate
             for ours, theirs in zip(result.runs, reference.runs):
                 assert ours.mv_set == theirs.mv_set
+
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    def test_seeded_run_matches_auto(self, kernel):
+        """Every run's rate and genome bytes match the ``auto`` run."""
+        spec = SyntheticSpec(
+            name="kernel-run-parity", n_patterns=30, pattern_bits=30,
+            care_density=0.5, seed=5,
+        )
+        blocks = synthetic_test_set(spec).blocks(6)
+
+        def digest(kernel):
+            config = CompressionConfig(
+                block_length=6, n_vectors=8, runs=2, kernel=kernel,
+                ea=EAParameters(
+                    population_size=6, children_per_generation=4,
+                    stagnation_limit=8, max_evaluations=250,
+                ),
+            )
+            result = EAMVOptimizer(config, seed=99).optimize(blocks)
+            return [
+                (run.rate, run.mv_set.to_genome().tobytes())
+                for run in result.runs
+            ]
+
+        assert digest(kernel) == digest("auto")
 
 
 class TestWideBlockEndToEnd:

@@ -149,6 +149,84 @@ class TestConfigValueErrors:
         assert "error: atpg: n_vectors must be >= 1" in capsys.readouterr().err
 
 
+def _usage_error(capsys, argv) -> str:
+    """Run ``argv``; assert a clean usage error and return stderr."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+class TestUnknownCircuits:
+    """``--circuits`` names every unknown circuit instead of dropping it."""
+
+    @pytest.mark.parametrize("command", ["table1", "table2"])
+    def test_unknown_name_next_to_a_known_one(self, capsys, command):
+        known = "s298" if command == "table1" else "s27"
+        err = _usage_error(capsys, [command, "--circuits", known, "bogus"])
+        assert f"repro: error: {command}: unknown circuit(s) bogus; " in err
+        assert "choose from " in err and known in err
+
+    def test_only_unknown_names(self, capsys):
+        err = _usage_error(capsys, ["table1", "--circuits", "bogus", "nope"])
+        assert "unknown circuit(s) bogus nope;" in err
+        assert "no circuits selected" not in err
+
+    def test_ablate_unknown_circuit(self, capsys):
+        err = _usage_error(capsys, ["ablate", "kl", "--circuit", "bogus"])
+        assert "repro: error: ablate: unknown circuit(s) bogus;" in err
+
+    def test_table_builder_rejects_unknown_names(self):
+        from repro.experiments import build_table1
+
+        with pytest.raises(ValueError, match="unknown circuit"):
+            build_table1(circuits=["s298", "bogus"])
+
+
+class TestBadInputs:
+    """A bad flag value or input path names its cause: an argparse
+    ``error:`` line, exit 2, nothing on stdout, and no daemon bound."""
+
+    @pytest.fixture
+    def no_daemon(self, monkeypatch):
+        import repro.serve
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("daemon constructed for a rejected flag")
+
+        monkeypatch.setattr(repro.serve, "ServeDaemon", refuse)
+
+    def test_serve_max_batch_zero(self, capsys, no_daemon):
+        err = _usage_error(
+            capsys, ["serve", "--port", "0", "--max-batch", "0"]
+        )
+        assert "repro: error: serve: --max-batch must be >= 1, got 0" in err
+
+    def test_serve_negative_batch_window(self, capsys, no_daemon):
+        err = _usage_error(
+            capsys, ["serve", "--port", "0", "--batch-window-ms", "-5"]
+        )
+        assert (
+            "repro: error: serve: --batch-window-ms must be >= 0, got -5.0"
+            in err
+        )
+
+    def test_compress_missing_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        err = _usage_error(capsys, ["compress", str(missing)])
+        assert f"repro: error: compress: cannot read {missing}: " in err
+        assert "No such file or directory" in err
+
+    def test_request_missing_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        err = _usage_error(capsys, ["request", str(missing)])
+        assert f"repro: error: request: cannot read {missing}: " in err
+        assert "No such file or directory" in err
+
+
 class TestCacheCommand:
     def test_list_info_clear_roundtrip(self, tmp_path, monkeypatch, capsys):
         import json
@@ -341,137 +419,20 @@ class TestJobsSmoke:
         assert capsys.readouterr().out == serial
 
 
-class TestTuningFlags:
-    """--profile on every command, plus `repro tune`."""
+class TestNoTuningSurface:
+    """Kernel choice is a fixed rule: no profile flag, no tune command."""
 
-    EVERY_COMMAND = (
-        ["table1"],
-        ["table2"],
-        ["compress", "file.txt"],
-        ["atpg", "c17"],
-        ["ablate", "kl"],
-        ["report"],
-    )
+    def test_profile_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["table1", "--profile", "p.json"])
+        assert exit_info.value.code == 2
+        assert "--profile" in capsys.readouterr().err
 
-    def test_profile_defaults_to_none(self):
-        for argv in self.EVERY_COMMAND:
-            assert build_parser().parse_args(argv).profile is None
-
-    def test_profile_path_parsed(self, tmp_path):
-        from pathlib import Path
-
-        arguments = build_parser().parse_args(
-            ["table1", "--profile", str(tmp_path / "p.json")]
-        )
-        assert arguments.profile == Path(tmp_path / "p.json")
-
-    def test_tune_parser_defaults(self):
-        arguments = build_parser().parse_args(["tune"])
-        assert arguments.command == "tune"
-        assert arguments.profile is None
-        assert not arguments.quick
-        assert arguments.repeats == 3
-
-    def test_flags_documented_in_help(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["compress", "--help"])
-        help_text = capsys.readouterr().out
-        assert "--profile" in help_text
-        assert "repro tune" in help_text
-
-    def test_tune_documented_in_top_level_help(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["--help"])
-        assert "tune" in capsys.readouterr().out
-
-    @pytest.mark.slow
-    def test_tune_writes_a_loadable_profile(self, tmp_path, capsys):
-        from repro.tuning.profile import load_profile
-
-        path = tmp_path / "profile.json"
-        assert (
-            main(
-                ["tune", "--quick", "--repeats", "1", "--no-summary",
-                 "--profile", str(path)]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert f"wrote {path}" in out
-        profile = load_profile(path)  # valid for this machine
-        assert profile.source.startswith("repro tune")
-
-    def test_missing_profile_warns_and_still_runs(self, tmp_path, capsys):
-        path = tmp_path / "patterns.txt"
-        path.write_text(
-            "\n".join(["11001100XXXX", "110011001111", "XXXX11001100"] * 6)
-        )
-        args = ["compress", str(path), "--k", "4", "--l", "6", "--runs", "1",
-                "--stagnation", "5", "--max-evaluations", "120", "--seed", "3"]
-        assert main(args) == 0
-        baseline = capsys.readouterr().out
-        assert (
-            main([*args, "--profile", str(tmp_path / "absent.json")]) == 0
-        )
-        captured = capsys.readouterr()
-        assert captured.out == baseline  # fell back to shipped defaults
-        assert "ignoring tuning profile" in captured.err
-
-    def test_version_one_profile_warns_and_still_runs(self, tmp_path, capsys):
-        """A profile saved before the MV-cache thresholds were removed
-        is refused with the version warning, never a traceback."""
-        import json
-
-        from repro.tuning.profile import TuningProfile, current_fingerprint
-
-        document = TuningProfile(fingerprint=current_fingerprint()).to_dict()
-        document["version"] = 1
-        document["thresholds"].update(
-            mv_dedup_min_genomes=16, mv_dedup_min_table=512,
-            mv_dedup_min_distinct=2048, mv_feedback_min_hit_rate=0.25,
-            mv_feedback_patience=10, mv_feedback_reprobe_period=50,
-            mv_cache_policy=None,
-        )
-        profile_path = tmp_path / "old-profile.json"
-        profile_path.write_text(json.dumps(document))
-        path = tmp_path / "patterns.txt"
-        path.write_text(
-            "\n".join(["11001100XXXX", "110011001111", "XXXX11001100"] * 6)
-        )
-        args = ["compress", str(path), "--k", "4", "--l", "6", "--runs", "1",
-                "--stagnation", "5", "--max-evaluations", "120", "--seed", "3"]
-        assert main(args) == 0
-        baseline = capsys.readouterr().out
-        assert main([*args, "--profile", str(profile_path)]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == baseline
-        assert "ignoring tuning profile" in captured.err
-        assert "profile version 1" in captured.err
-
-    @pytest.mark.slow
-    def test_compress_profile_output_matches_default(
-        self, tmp_path, capsys
-    ):
-        from repro.tuning.probes import run_probes
-        from repro.tuning.profile import save_profile
-
-        profile_path = save_profile(
-            run_probes(quick=True, repeats=1), tmp_path / "tuned.json"
-        )
-        path = tmp_path / "patterns.txt"
-        path.write_text(
-            "\n".join(["11001100XXXX", "110011001111", "XXXX11001100"] * 6)
-        )
-        args = ["compress", str(path), "--k", "4", "--l", "6", "--runs", "1",
-                "--stagnation", "5", "--max-evaluations", "120", "--seed", "3"]
-        outputs = {}
-        for label, extra in {
-            "default": [],
-            "tuned": ["--profile", str(profile_path)],
-        }.items():
-            assert main([*args, *extra]) == 0
-            outputs[label] = capsys.readouterr().out
-        assert len(set(outputs.values())) == 1  # byte-identical output
+    def test_tune_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["tune"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'tune'" in capsys.readouterr().err
 
 
 class TestFaultToleranceFlags:

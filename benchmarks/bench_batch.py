@@ -8,13 +8,11 @@ Two comparisons share the synthetic workloads:
   generation path (PR 1's tentpole: ≥5× batched over reference on
   ``medium``).
 * **Covering kernels** — the same batched pipeline under each
-  registered kernel (``gemm``, ``bitpack``, ``scalar``;
+  usable kernel (``native``, ``bitpack``, ``scalar``;
   :mod:`repro.core.kernels`), including the ``wide`` K = 96 workload
-  the single-word seed could not express.  The kernel acceptance
-  target is bitpack beating gemm on the bandwidth-bound ``large``
-  table.  :func:`stage_timings` splits one batched call into its
-  pack / cover / Huffman stages so a future regression can be
-  localized, not just detected.
+  the single-word seed could not express.  :func:`stage_timings`
+  splits one batched call into its pack / cover / Huffman stages so a
+  future regression can be localized, not just detected.
 
 Run with ``pytest benchmarks/bench_batch.py --benchmark-only`` and
 compare the ``genomes_per_second`` extra-info columns, or use
@@ -71,7 +69,7 @@ KERNEL_WORKLOADS = {
 }
 
 # Only kernels this machine can actually run: a toolchain-less
-# container benches the array kernels, a full one adds `native`.
+# container benches bitpack and scalar, a full one adds `native`.
 KERNELS = tuple(usable_kernels())
 
 

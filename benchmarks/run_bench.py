@@ -10,9 +10,9 @@ script and catch regressions:
   small/medium/large synthetic workloads: genomes/second plus
   batched-over-reference and batched-over-scalar speedups.  A
   ``kernel_comparison`` section times the batched pipeline under
-  every registered covering kernel (gemm, bitpack, scalar) on the
+  every usable covering kernel (native, bitpack, scalar) on the
   same workloads plus the ``wide`` K = 96 one, recording the
-  bitpack-over-gemm speedup and what ``auto`` would pick.  A
+  native-over-bitpack speedup and what ``auto`` would pick.  A
   ``stage_breakdown`` section splits one batched call into its
   pack / cover / huffman stages (so a future regression can be
   localized, not just detected).  ``cpu_count`` is recorded as
@@ -178,9 +178,6 @@ def bench_kernels(name: str, repeats: int) -> dict:
         "genomes_per_second": {
             kernel: round(value, 1) for kernel, value in throughput.items()
         },
-        "speedup_bitpack_vs_gemm": round(
-            throughput["bitpack"] / throughput["gemm"], 2
-        ),
         "auto_selects": select_kernel_name(
             batch_size, blocks.n_distinct, n_vectors, block_length
         ),
@@ -251,7 +248,6 @@ def emit_fitness_artifact(output: Path, repeats: int) -> None:
         print(
             f"{row['workload']:>7} kernels: "
             + "  ".join(f"{kernel}={rates[kernel]}/s" for kernel in sorted(rates))
-            + f"  bitpack/gemm ×{row['speedup_bitpack_vs_gemm']}"
             + (
                 f"  native/bitpack ×{row['speedup_native_vs_bitpack']}"
                 if "speedup_native_vs_bitpack" in row

@@ -137,7 +137,7 @@ def _resolve_fault_tolerance(
 ) -> tuple[RetryPolicy | None, float | None]:
     """``(retry, timeout)`` from ``--retries``/``--task-timeout``."""
     if arguments.retries < 0:
-        raise SystemExit(f"--retries must be >= 0, got {arguments.retries}")
+        raise _UsageError(f"--retries must be >= 0, got {arguments.retries}")
     retry = (
         RetryPolicy(max_attempts=arguments.retries + 1)
         if arguments.retries > 0
@@ -597,16 +597,22 @@ def _serve_command(arguments: argparse.Namespace) -> int:
             raise _UsageError(f"{flag} must be >= {least}, got {value}")
     service, timeout = _build_service(arguments)
     jobs = arguments.jobs if arguments.jobs > 0 else (os.cpu_count() or 1)
-    daemon = ServeDaemon(
-        service,
-        host=arguments.host,
-        port=arguments.port,
-        jobs=jobs,
-        batch_window_ms=arguments.batch_window_ms,
-        max_batch=arguments.max_batch,
-        max_queue=arguments.max_queue,
-        request_timeout=timeout,
-    )
+    try:
+        daemon = ServeDaemon(
+            service,
+            host=arguments.host,
+            port=arguments.port,
+            jobs=jobs,
+            batch_window_ms=arguments.batch_window_ms,
+            max_batch=arguments.max_batch,
+            max_queue=arguments.max_queue,
+            request_timeout=timeout,
+        )
+    except OSError as error:
+        raise _UsageError(
+            f"cannot listen on {arguments.host}:{arguments.port}: "
+            f"{error.strerror or error}"
+        ) from None
     host, port = daemon.address
 
     def _drain(signum, frame) -> None:

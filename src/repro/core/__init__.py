@@ -22,20 +22,17 @@ from .covering import (
     UncoverableError,
     cover,
     cover_masks,
-    cover_masks_batch,
 )
 from .kernels import (
     KERNEL_CHOICES,
     BitpackKernel,
     CoveringKernel,
-    GemmKernel,
     NativeKernel,
     ScalarKernel,
     available_kernels,
     get_kernel,
     kernel_availability,
     kernel_unavailable_reason,
-    register_kernel,
     resolve_kernel,
     select_kernel_name,
     usable_kernels,
@@ -90,14 +87,12 @@ __all__ = [
     "KERNEL_CHOICES",
     "BitpackKernel",
     "CoveringKernel",
-    "GemmKernel",
     "NativeKernel",
     "ScalarKernel",
     "available_kernels",
     "get_kernel",
     "kernel_availability",
     "kernel_unavailable_reason",
-    "register_kernel",
     "resolve_kernel",
     "select_kernel_name",
     "usable_kernels",
@@ -110,7 +105,6 @@ __all__ = [
     "UncoverableError",
     "cover",
     "cover_masks",
-    "cover_masks_batch",
     "DecodedTestSet",
     "decompress",
     "verify_roundtrip",

@@ -113,7 +113,7 @@ class CompressionConfig:
     works — wide blocks (K > 64) pack into multi-word masks.
 
     ``kernel`` names the covering kernel pricing the EA's fitness
-    (``auto``, ``native``, ``gemm``, ``bitpack``, ``scalar`` — see
+    (``auto``, ``native``, ``bitpack``, ``scalar`` — see
     :mod:`repro.core.kernels`); every kernel produces bit-identical
     results, so this knob only moves the wall clock.
     """

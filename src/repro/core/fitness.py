@@ -9,15 +9,16 @@ generation of ``C`` genomes with ONE call to the covering kernel's
    grid (no ``MVSet`` objects);
 2. each genome's MVs are put into covering order (stable sort by
    unspecified count) and the pluggable covering kernel
-   (:mod:`repro.core.kernels` — the cc-compiled native loop, float32
-   GEMM, bit-packed uint64 lanes with block-table sharding, or the
-   scalar reference; ``"auto"`` picks per workload shape) covers every
-   block with its first matching MV, early-exiting genomes whose MVs
-   cannot cover every block;
+   (:mod:`repro.core.kernels` — the cc-compiled native loop, bit-packed
+   integer lanes with block-table sharding, or the scalar reference;
+   ``"auto"`` picks per workload shape) covers every block with its
+   first matching MV, early-exiting genomes whose MVs cannot cover
+   every block;
 3. the MV use frequencies are priced with the two-queue Huffman merge
    and the fill bits ``Σ freq·NU`` are added, giving one int64
    compressed bit total per genome.  The native kernel runs steps 2–3
-   in a single C call; the array kernels compose ``cover_grid`` with
+   in a single C call; ``bitpack`` and ``scalar`` compose
+   ``cover_grid`` with
    :func:`repro.coding.huffman.huffman_total_bits_batch`;
 4. the rate ``100·(orig − compressed)/orig`` is one numpy expression
    over the totals.
@@ -37,12 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..coding.huffman import huffman_length_stats_batch
-from .blocks import BlockSet, mask_word_count, pack_bits_to_words
+from .blocks import BlockSet
 from .decoder_hw import decoder_area_units_batch, test_application_cycles_batch
 from .encoding import EncodingStrategy, build_encoding_table
 from .kernels import AUTO_KERNEL, CoveringKernel, covering_order, resolve_kernel
 from .matching import MVSet
-from .trits import DC, ONE, ZERO
 
 __all__ = [
     "INVALID_FITNESS",
@@ -96,7 +96,7 @@ class BatchCompressionRateFitness:
     """Price a whole generation of genomes against a fixed block set.
 
     ``kernel`` selects the covering kernel by registry name
-    (``"auto"``, ``"native"``, ``"gemm"``, ``"bitpack"``, ``"scalar"``)
+    (``"auto"``, ``"native"``, ``"bitpack"``, ``"scalar"``)
     or passes a :class:`~repro.core.kernels.CoveringKernel` instance
     directly; ``"auto"`` resolves from the workload shape (C, D, L, K)
     when the first batch arrives.
@@ -174,25 +174,6 @@ class BatchCompressionRateFitness:
         """Always-zero MV-cache counters (see :class:`MVCacheStats`)."""
         return _NO_MV_CACHE
 
-    def genome_masks_batch(
-        self, genomes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pack a ``(C, L·K)`` genome matrix into per-MV mask arrays.
-
-        Returns ``(ones, zeros, n_unspecified)``; the masks are
-        ``(C, L)`` for ``K <= 64`` and ``(C, L, W)`` word arrays for
-        wider blocks, one vectorized pass over the whole batch.
-        """
-        matrix = self._genome_matrix(genomes)
-        grid = matrix.reshape(-1, self._n_vectors, self._block_length)
-        ones = pack_bits_to_words(grid == ONE)
-        zeros = pack_bits_to_words(grid == ZERO)
-        if mask_word_count(self._block_length) == 1:
-            ones = ones[..., 0]
-            zeros = zeros[..., 0]
-        n_unspecified = (grid == DC).sum(axis=2).astype(np.int64)
-        return ones, zeros, n_unspecified
-
     def _genome_matrix(self, genomes: np.ndarray) -> np.ndarray:
         matrix = np.asarray(genomes, dtype=np.int8)
         if matrix.ndim == 1:
@@ -219,7 +200,7 @@ class BatchCompressionRateFitness:
         grid = matrix.reshape(n_genomes, self._n_vectors, self._block_length)
         # The covering kernel consumes the trit grid with the L axis
         # pre-permuted into covering order; each kernel converts to its
-        # native representation (float bit rows, uint64 word lanes).
+        # own representation (fused lanes, per-MV word masks).
         ordered_grid, orders, n_unspecified = covering_order(grid)
         kernel = self._resolve_kernel(n_genomes)
         _, frequencies, uncovered = kernel.cover_grid(
@@ -386,13 +367,6 @@ class CompressionRateFitness:
     def kernel_name(self) -> str:
         """The resolved covering kernel's name (``auto`` if unresolved)."""
         return self._batch.kernel_name
-
-    def genome_masks(
-        self, genome: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pack a genome into per-MV ``(ones, zeros, n_unspecified)`` arrays."""
-        ones, zeros, n_unspecified = self._batch.genome_masks_batch(genome)
-        return ones[0], zeros[0], n_unspecified[0]
 
     def __call__(self, genome: np.ndarray) -> float:
         """Compression rate achieved by the genome's matching vectors."""

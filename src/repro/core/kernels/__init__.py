@@ -1,28 +1,24 @@
 """Pluggable covering kernels and their selection registry.
 
-Four interchangeable backends price the covering inner loop (see
+Three interchangeable backends price the covering inner loop (see
 :mod:`repro.core.kernels.base` for the shared contract):
 
-* ``gemm``    — float32 bit matrices, one BLAS matrix product per
-  genome chunk; strongest where BLAS compute density pays — wide
-  blocks (multi-word lanes) over modest distinct-block tables;
-* ``bitpack`` — fused integer conflict lanes with D-axis sharding;
-  the fastest *array* kernel whenever the 2K-bit lane fits two uint64
-  words and the block table is large enough to make the GEMM operands
-  memory-bandwidth bound;
-* ``native``  — the same fused-lane match test as a cc-compiled C
-  loop (:mod:`repro.core.kernels.native`): no numpy temporaries,
+* ``native``  — the fused-lane match test as a cc-compiled C loop
+  (:mod:`repro.core.kernels.native`): no numpy temporaries,
   branch-free single-word matching, first-match early exit;
   single-threaded.  Compiled on first use and cached under
   ``$REPRO_CACHE_DIR/native/``; on machines without a C toolchain the
   registry reports it *unavailable* and every selection path below
   skips it;
+* ``bitpack`` — the same fused integer conflict lanes as numpy array
+  code with D-axis sharding; the fallback for machines without a
+  compiler;
 * ``scalar``  — the original per-genome Python loop; the semantic
   reference and the cheapest option for tiny one-off coverings.
 
 ``auto`` picks per workload shape via :func:`select_kernel_name`,
 keyed on ``(C, D, L, K)`` — consulting availability first, so a
-missing compiler silently narrows the choice to the array kernels.
+missing compiler silently narrows the choice to ``bitpack``.
 An *explicitly requested* kernel that is unavailable fails loudly in
 :func:`resolve_kernel` instead: the caller asked for something this
 machine cannot do, and silently substituting a different backend
@@ -44,7 +40,6 @@ from .base import (
 )
 from .bitpack import BitpackKernel
 from .build import NativeBuildError
-from .gemm import GemmKernel, cover_bits_batch, unpack_mask_bits
 from .native import NativeKernel, native_status
 from .scalar import ScalarKernel, cover_masks
 
@@ -53,14 +48,12 @@ __all__ = [
     "KERNEL_CHOICES",
     "BitpackKernel",
     "CoveringKernel",
-    "GemmKernel",
     "NativeBuildError",
     "NativeKernel",
     "PreparedBlocks",
     "ScalarKernel",
     "accumulate_complete_rows",
     "available_kernels",
-    "cover_bits_batch",
     "cover_masks",
     "covering_order",
     "first_match_rank",
@@ -68,17 +61,14 @@ __all__ = [
     "kernel_availability",
     "kernel_unavailable_reason",
     "rank_word_bits",
-    "register_kernel",
     "resolve_kernel",
     "select_kernel_name",
-    "unpack_mask_bits",
     "usable_kernels",
 ]
 
 AUTO_KERNEL = "auto"
 
 _REGISTRY: dict[str, Callable[[], CoveringKernel]] = {
-    GemmKernel.name: GemmKernel,
     BitpackKernel.name: BitpackKernel,
     ScalarKernel.name: ScalarKernel,
     NativeKernel.name: NativeKernel,
@@ -98,49 +88,10 @@ _AVAILABILITY: dict[str, Callable[[], str | None]] = {
 # with the reason at resolution time, not at parse time.
 KERNEL_CHOICES = (AUTO_KERNEL, *sorted(_REGISTRY))
 
-# Auto-selection thresholds for machines without the native kernel,
-# calibrated on the workloads of ``benchmarks/bench_batch.py``.
-# Bitpack's fused conflict lane holds 2K bits; while it fits in at
-# most two uint64 words (K <= 64) the integer kernel measured
-# 1.3–1.4× faster once the distinct table outgrows BLAS's
-# cache-resident sweet spot (medium D≈860, large D≈3330), while tiny
-# tables (small D≈150) stay GEMM territory.  Past two lane words the
-# per-element AND loop grows with K while BLAS keeps its compute
-# density — gemm wins there until the table is large enough that its
-# 4-bytes-per-bit operands go bandwidth-bound.  The narrow crossover
-# moves with L (GEMM amortizes its operand streaming over more MV
-# rows); 256 is the value at the EA's real shape (L=64).  The wide
-# crossover stayed beyond D=4096 on a single-core container, so 2048
-# is a conservative bench-derived value.
-BITPACK_MAX_LANE_WORDS = 2
-BITPACK_MIN_DISTINCT = 256
-BITPACK_WIDE_MIN_DISTINCT = 2048
 # Below this many match tests (distinct blocks × MVs) a single
 # uncached covering is cheaper as the plain Python loop than as
 # batched tensor setup.
 SCALAR_MAX_WORK = 512
-
-
-def register_kernel(
-    name: str,
-    factory: Callable[[], CoveringKernel],
-    availability: Callable[[], str | None] | None = None,
-) -> None:
-    """Register a covering-kernel factory under ``name``.
-
-    Extension hook for out-of-tree kernels; ``auto`` never selects a
-    registered-late kernel, but explicit configuration can.
-    ``availability``, when given, is called lazily and returns ``None``
-    (usable) or a human-readable unavailability reason — see
-    :func:`kernel_unavailable_reason`.
-    """
-    if not name or name == AUTO_KERNEL:
-        raise ValueError(f"invalid kernel name {name!r}")
-    _REGISTRY[name] = factory
-    if availability is not None:
-        _AVAILABILITY[name] = availability
-    else:
-        _AVAILABILITY.pop(name, None)
 
 
 def available_kernels() -> tuple[str, ...]:
@@ -213,29 +164,18 @@ def select_kernel_name(
       under ``SCALAR_MAX_WORK``; interactive ``cover`` calls) goes to
       ``scalar``: batched tensor setup costs more than the loop.
     * Every other shape goes to the compiled ``native`` kernel when it
-      is available — the C loop beat both array kernels at every
-      batched shape measured.  Unavailable (no compiler) means this
-      rule silently vanishes and the array rules below decide alone.
-    * Narrow fused lanes (2K bits in at most two uint64 words) over a
-      distinct table past ``BITPACK_MIN_DISTINCT`` go to ``bitpack``
-      — measured 1.3–1.4× over GEMM there, growing with the table as
-      GEMM goes memory-bandwidth bound.
-    * Wider lanes (K > 64) go to ``gemm`` while the table is modest —
-      BLAS keeps its compute density where the word loop cannot — and
-      back to ``bitpack`` once the table is large enough that GEMM's
-      4-bytes-per-bit operands dominate.
-    * Everything else (tiny tables) stays with ``gemm``.
+      is available — the C loop beat bitpack at every
+      batched shape measured.
+    * Without a compiler, ``bitpack`` takes it.
+
+    ``block_length`` no longer moves the choice; it stays in the
+    signature so every caller passes the same full shape.
     """
     if n_genomes <= 1 and n_distinct * n_vectors <= SCALAR_MAX_WORK:
         return ScalarKernel.name
     if n_distinct >= 1 and kernel_unavailable_reason(NativeKernel.name) is None:
         return NativeKernel.name
-    narrow = -(-2 * block_length // 64) <= BITPACK_MAX_LANE_WORDS
-    if narrow and n_distinct >= BITPACK_MIN_DISTINCT:
-        return BitpackKernel.name
-    if n_distinct >= BITPACK_WIDE_MIN_DISTINCT:
-        return BitpackKernel.name
-    return GemmKernel.name
+    return BitpackKernel.name
 
 
 def resolve_kernel(

@@ -6,8 +6,8 @@ generation of ``C`` genomes — each an ordered list of ``L`` matching
 vectors — which MV covers each block first, how often is each MV used,
 and how many blocks stay uncovered?  Everything above this layer
 (fitness pricing, the EA engine, the experiment protocol) is kernel
-agnostic; everything below it (float32 GEMM, bit-packed integer lanes,
-the scalar reference loop) is swappable per workload shape.
+agnostic; everything below it (the compiled C loop, bit-packed integer
+lanes, the scalar reference loop) is swappable per workload shape.
 
 All kernels share one contract, pinned by the cross-kernel parity
 suite: for identical inputs they return **bit-identical**
@@ -18,30 +18,25 @@ and an all-zero frequency row.  Seeded experiments are therefore
 byte-identical no matter which kernel priced them.
 
 Kernels are stateless objects configured at construction; per-block-set
-state lives in the *prepared* value returned by :meth:`prepare` (each
-kernel chooses its own representation: float bit matrices for GEMM,
-uint64 word lanes for bitpack).  The three entry points differ only in
-input encoding:
+state lives in the *prepared* value returned by :meth:`prepare` (the
+native and bitpack kernels add the fused ``[b₁|b₀]`` block lanes that
+:func:`fused_block_lanes` builds, at their own word width).  Two entry
+points take the EA's ``(C, L, K)`` trit grid:
 
-* :meth:`cover_ordered_words` — MV masks as ``(C, L, W)`` uint64 word
-  lanes *already permuted* into covering order (the abstract core);
-* :meth:`cover_masks` — declaration-order masks, flat ``(C, L)`` or
-  ``(C, L, W)``; permuted here and delegated;
-* :meth:`cover_grid` — the ordered ``(C, L, K)`` trit grid straight
-  from the EA genome matrix (kernels may override to skip the
-  intermediate word packing).
-
-On top of covering, :meth:`price_grid` is the fitness hot path: it
-takes the *unordered* ``(C, L, K)`` trit grid and returns each
-genome's compressed bit total (Huffman codeword bits plus fill bits),
-``-1`` where a block stays uncovered.  The base implementation
-composes :func:`covering_order`, :meth:`cover_grid` and the batched
-Huffman totals; the native kernel does all of it in one C call.
+* :meth:`cover_grid` — covering proper, on a grid whose MV axis is
+  already in covering order (:func:`covering_order`);
+* :meth:`price_grid` — the fitness hot path: the *unordered* grid in,
+  each genome's compressed bit total (Huffman codeword bits plus fill
+  bits) out, ``-1`` where a block stays uncovered.  The base
+  implementation composes :func:`covering_order`, :meth:`cover_grid`
+  and the batched Huffman totals; the native kernel does all of it in
+  one C call.
 """
 
 from __future__ import annotations
 
 import abc
+import tempfile
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -53,6 +48,7 @@ from ..blocks import (
     mask_word_count,
     masks_as_words,
     pack_bits_to_words,
+    unpack_words_to_bits,
 )
 from ..trits import DC, ONE, ZERO
 
@@ -62,8 +58,15 @@ __all__ = [
     "accumulate_complete_rows",
     "covering_order",
     "first_match_rank",
+    "fused_block_lanes",
+    "fused_mv_lanes",
     "rank_word_bits",
 ]
+
+# Block lanes are built in D-axis chunks; the (chunk, 2K) unpacked-bit
+# intermediate is preparation's RAM high-water mark, so bound it.
+_LANE_CHUNK_ELEMENTS = 1 << 20
+
 
 @dataclass(frozen=True)
 class PreparedBlocks:
@@ -82,6 +85,59 @@ class PreparedBlocks:
     total_count: int
     ones_words: np.ndarray
     zeros_words: np.ndarray
+
+
+def fused_block_lanes(
+    block_ones: np.ndarray,
+    block_zeros: np.ndarray,
+    block_length: int,
+    dtype: np.dtype,
+) -> np.ndarray:
+    """The ``(D, LW)`` fused block lanes ``[b₁|b₀]`` in ``dtype`` words.
+
+    Each block's ones bits and zeros bits concatenate into one 2K-bit
+    lane, packed as :func:`~repro.core.blocks.pack_bits_to_words` packs
+    (little-endian words, MSB first), then stored at ``dtype``: the
+    bitpack kernel passes its narrowest width, the native kernel
+    ``uint64``.  The result is C-contiguous.  Out-of-core tables
+    (``np.memmap`` masks — see :mod:`repro.core.blocks_io`) get memmap
+    lanes over an anonymous temp file, so covering streams them from
+    disk page by page and preparation never holds a D-sized array in
+    RAM.
+    """
+    ones_words = masks_as_words(block_ones)
+    zeros_words = masks_as_words(block_zeros)
+    lane_bits = 2 * block_length
+    shape = (ones_words.shape[0], mask_word_count(lane_bits))
+    if isinstance(block_ones, np.memmap) or isinstance(block_zeros, np.memmap):
+        # The mapping keeps its own descriptor, so the spool can close.
+        with tempfile.TemporaryFile() as spool:
+            lanes = np.memmap(spool, dtype=dtype, mode="w+", shape=shape)
+    else:
+        lanes = np.empty(shape, dtype=dtype)
+    chunk = max(1, _LANE_CHUNK_ELEMENTS // lane_bits)
+    for start in range(0, shape[0], chunk):
+        stop = start + chunk
+        bits = np.concatenate(
+            [
+                unpack_words_to_bits(ones_words[start:stop], block_length),
+                unpack_words_to_bits(zeros_words[start:stop], block_length),
+            ],
+            axis=1,
+        )
+        lanes[start:stop] = pack_bits_to_words(bits)
+    return lanes
+
+
+def fused_mv_lanes(ordered_grid: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """The ``(C, L, LW)`` fused MV lanes ``[mvᴢ|mv₁]`` of a trit grid.
+
+    The complement of :func:`fused_block_lanes` — zeros bits first —
+    so a block lane and an MV lane AND to zero exactly when the MV
+    matches the block.  Stored at ``dtype`` words, as the block lanes.
+    """
+    bits = np.concatenate([ordered_grid == ZERO, ordered_grid == ONE], axis=-1)
+    return pack_bits_to_words(bits).astype(dtype, copy=False)
 
 
 def covering_order(
@@ -162,8 +218,8 @@ def accumulate_complete_rows(
     global row ``start``; ``sub_rank`` is their ``(len(sub), D)``
     first-match covering ranks.  Block multiplicities are scatter-added
     per rank, then mapped from rank space back to MV index space
-    through the genomes' ``order`` rows — shared verbatim by the GEMM
-    and bitpack kernels so their results cannot drift apart.
+    through the genomes' ``order`` rows — shared verbatim by the
+    bitpack and native kernels so their results cannot drift apart.
     """
     n_vectors = frequencies.shape[1]
     flat = np.arange(sub.size)[:, None] * n_vectors + sub_rank
@@ -227,61 +283,9 @@ class CoveringKernel(abc.ABC):
             zeros_words=zeros_words,
         )
 
-    # -- covering entry points ----------------------------------------
+    # -- covering entry point -----------------------------------------
 
     @abc.abstractmethod
-    def cover_ordered_words(
-        self,
-        prepared: PreparedBlocks,
-        ordered_ones: np.ndarray,
-        ordered_zeros: np.ndarray,
-        orders: np.ndarray,
-        want_assignment: bool = True,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cover with ``(C, L, W)`` MV word lanes in covering order.
-
-        Row ``j`` of genome ``c`` is the MV tried ``j``-th; ``orders``
-        maps that rank back to declaration-order MV indices.  Returns
-        ``(assignment, frequencies, uncovered)`` of shapes ``(C, D)``,
-        ``(C, L)`` and ``(C,)``.
-        """
-
-    def cover_masks(
-        self,
-        prepared: PreparedBlocks,
-        mv_ones: np.ndarray,
-        mv_zeros: np.ndarray,
-        covering_order: np.ndarray,
-        want_assignment: bool = True,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cover with declaration-order ``(C, L[, W])`` mask arrays.
-
-        Single-genome callers may pass flat ``(L,)`` masks or
-        ``(L, W)`` word arrays with a 1-D ``covering_order`` — the
-        order's dimensionality disambiguates ``(L, W)`` words from a
-        ``(C, L)`` flat batch.
-        """
-        mv_ones = np.asarray(mv_ones, dtype=np.uint64)
-        mv_zeros = np.asarray(mv_zeros, dtype=np.uint64)
-        order_input = np.asarray(covering_order, dtype=np.int64)
-        if mv_ones.ndim == 1 or (
-            mv_ones.ndim == 2 and order_input.ndim == 1
-        ):
-            mv_ones = mv_ones[None]
-            mv_zeros = mv_zeros[None]
-        orders = np.atleast_2d(order_input)
-        if mv_ones.ndim == 2:
-            mv_ones = mv_ones[..., None]
-            mv_zeros = mv_zeros[..., None]
-        genome_rows = np.arange(mv_ones.shape[0])[:, None]
-        return self.cover_ordered_words(
-            prepared,
-            mv_ones[genome_rows, orders],
-            mv_zeros[genome_rows, orders],
-            orders,
-            want_assignment=want_assignment,
-        )
-
     def cover_grid(
         self,
         prepared: PreparedBlocks,
@@ -289,14 +293,15 @@ class CoveringKernel(abc.ABC):
         orders: np.ndarray,
         want_assignment: bool = True,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cover with the ordered ``(C, L, K)`` trit grid (fitness path)."""
-        return self.cover_ordered_words(
-            prepared,
-            pack_bits_to_words(ordered_grid == ONE),
-            pack_bits_to_words(ordered_grid == ZERO),
-            np.atleast_2d(np.asarray(orders, dtype=np.int64)),
-            want_assignment=want_assignment,
-        )
+        """Cover with a ``(C, L, K)`` trit grid in covering order.
+
+        Row ``j`` of genome ``c`` is the MV tried ``j``-th; ``orders``
+        ``(C, L)`` maps that rank back to declaration-order MV indices
+        (both as :func:`covering_order` returns them).  Returns
+        ``(assignment, frequencies, uncovered)`` of shapes ``(C, D)``,
+        ``(C, L)`` and ``(C,)``; with ``want_assignment=False`` the
+        assignment rows stay all ``-1``.
+        """
 
     # -- pricing entry point ------------------------------------------
 

@@ -6,8 +6,7 @@ zeros bits into a single 2K-bit word ``[b₁|b₀]`` and each MV's zeros
 and ones bits into ``[mvᴢ|mv₁]`` — the lanes AND to zero exactly when
 the MV matches the block.  Lanes are stored at the narrowest integer
 width that holds 2K bits (uint8/16/32/64, multi-word above 64), so at
-the paper's K = 12 a block costs 4 bytes instead of the 96 bytes of
-float32 bit matrix the GEMM kernel streams — and the whole match
+the paper's K = 12 a block costs 4 bytes — and the whole match
 reduces to one integer AND plus an ``argmin`` (the first zero in
 covering order *is* the first minimum when a zero exists; when none
 exists the gathered value is nonzero, which is exactly the
@@ -15,8 +14,7 @@ uncovered test).  No floats, no popcounts, no BLAS.
 
 Two axes of blocking keep every temporary cache-resident:
 
-* **Genome chunking** (the same scheme the GEMM kernel uses) bounds
-  the per-chunk rank matrices;
+* **Genome chunking** bounds the per-chunk rank matrices;
 * **Block-table sharding** splits the D axis so each
   ``(chunk, L, shard)`` conflict tensor fits in cache no matter how
   large the distinct table grows.  Shards are independent — covering
@@ -26,22 +24,17 @@ Two axes of blocking keep every temporary cache-resident:
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..blocks import (
-    mask_word_count,
-    pack_bits_to_words,
-    unpack_words_to_bits,
-)
-from ..trits import ONE, ZERO
 from .base import (
     CoveringKernel,
     PreparedBlocks,
     accumulate_complete_rows,
     first_match_rank,
+    fused_block_lanes,
+    fused_mv_lanes,
     rank_word_bits,
 )
 
@@ -62,16 +55,6 @@ def _lane_dtype(lane_bits: int) -> np.dtype:
         if lane_bits <= np.dtype(dtype).itemsize * 8:
             return np.dtype(dtype)
     return np.dtype(np.uint64)
-
-
-def _pack_lanes(bits: np.ndarray) -> np.ndarray:
-    """Pack ``(..., 2K)`` 0/1 bits into ``(..., LW)`` conflict lanes."""
-    lane_bits = bits.shape[-1]
-    words = pack_bits_to_words(bits)
-    dtype = _lane_dtype(lane_bits)
-    if dtype != np.dtype(np.uint64):
-        words = words.astype(dtype)
-    return words
 
 
 @dataclass(frozen=True)
@@ -108,66 +91,12 @@ class BitpackKernel(CoveringKernel):
         base = self._base_prepared(
             block_ones, block_zeros, block_counts, block_length
         )
-        ones_words = base.ones_words
-        zeros_words = base.zeros_words
-        n_distinct = base.n_distinct
-        lane_bits = 2 * block_length
-        lane_words = mask_word_count(lane_bits)
-        lane_dtype = _lane_dtype(lane_bits)
-        # Out-of-core tables (np.memmap masks — see core.blocks_io)
-        # get memmap lanes over an anonymous temp file, so the shard
-        # loop in _cover_lanes streams them from disk page by page and
-        # preparation never materializes a D-sized array in RAM.
-        if isinstance(block_ones, np.memmap) or isinstance(
-            block_zeros, np.memmap
-        ):
-            spool = tempfile.TemporaryFile()
-            block_lanes = np.memmap(
-                spool, dtype=lane_dtype, mode="w+",
-                shape=(n_distinct, lane_words),
-            )
-        else:
-            block_lanes = np.empty(
-                (n_distinct, lane_words), dtype=lane_dtype
-            )
-        # Chunk the D axis: the (chunk, 2K) unpacked-bit intermediate
-        # is the preparation's RAM high-water mark, so bound it instead
-        # of building it for the whole table at once.
-        chunk = max(1, _CHUNK_TENSOR_ELEMENTS // max(1, lane_bits))
-        for start in range(0, n_distinct, chunk):
-            stop = min(start + chunk, n_distinct)
-            bits = np.concatenate(
-                [
-                    unpack_words_to_bits(
-                        np.asarray(ones_words[start:stop]), block_length
-                    ),
-                    unpack_words_to_bits(
-                        np.asarray(zeros_words[start:stop]), block_length
-                    ),
-                ],
-                axis=1,
-            )
-            block_lanes[start:stop] = _pack_lanes(bits)
+        block_lanes = fused_block_lanes(
+            block_ones, block_zeros, block_length, _lane_dtype(2 * block_length)
+        )
         return _BitpackPrepared(**vars(base), block_lanes=block_lanes)
 
-    # -- lane construction --------------------------------------------
-
-    @staticmethod
-    def _mv_lanes_from_words(
-        ordered_ones: np.ndarray,
-        ordered_zeros: np.ndarray,
-        block_length: int,
-    ) -> np.ndarray:
-        bits = np.concatenate(
-            [
-                unpack_words_to_bits(ordered_zeros, block_length),
-                unpack_words_to_bits(ordered_ones, block_length),
-            ],
-            axis=2,
-        )
-        return _pack_lanes(bits)
-
-    # -- covering core ------------------------------------------------
+    # -- covering ------------------------------------------------------
 
     def _shard_slices(self, n_distinct, span, n_vectors, itemsize):
         if self._shard_size is not None:
@@ -182,22 +111,23 @@ class BitpackKernel(CoveringKernel):
             for start in range(0, n_distinct, size)
         ]
 
-    def _cover_lanes(
+    def cover_grid(
         self,
-        prepared: _BitpackPrepared,
-        mv_lanes: np.ndarray,
+        prepared: PreparedBlocks,
+        ordered_grid: np.ndarray,
         orders: np.ndarray,
-        want_assignment: bool,
+        want_assignment: bool = True,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n_genomes, n_vectors = mv_lanes.shape[:2]
+        n_genomes, n_vectors = ordered_grid.shape[:2]
         n_distinct = prepared.n_distinct
         assignment, frequencies, uncovered = self._empty_results(
             n_genomes, n_vectors, n_distinct
         )
         if n_distinct == 0 or n_genomes == 0:
             return assignment, frequencies, uncovered
-
         block_lanes = prepared.block_lanes  # (D, LW)
+        mv_lanes = fused_mv_lanes(ordered_grid, block_lanes.dtype)
+        orders = np.atleast_2d(np.asarray(orders, dtype=np.int64))
         lane_words = block_lanes.shape[-1]
         counts = prepared.counts
         total_count = prepared.total_count
@@ -272,37 +202,3 @@ class BitpackKernel(CoveringKernel):
                 want_assignment,
             )
         return assignment, frequencies, uncovered
-
-    # -- kernel entry points ------------------------------------------
-
-    def cover_ordered_words(
-        self,
-        prepared: PreparedBlocks,
-        ordered_ones: np.ndarray,
-        ordered_zeros: np.ndarray,
-        orders: np.ndarray,
-        want_assignment: bool = True,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        mv_lanes = self._mv_lanes_from_words(
-            ordered_ones, ordered_zeros, prepared.block_length
-        )
-        return self._cover_lanes(prepared, mv_lanes, orders, want_assignment)
-
-    def cover_grid(
-        self,
-        prepared: PreparedBlocks,
-        ordered_grid: np.ndarray,
-        orders: np.ndarray,
-        want_assignment: bool = True,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Fast path: conflict lanes straight from the trit grid.
-        bits = np.concatenate(
-            [ordered_grid == ZERO, ordered_grid == ONE], axis=2
-        )
-        mv_lanes = _pack_lanes(bits)
-        return self._cover_lanes(
-            prepared,
-            mv_lanes,
-            np.atleast_2d(np.asarray(orders, dtype=np.int64)),
-            want_assignment,
-        )

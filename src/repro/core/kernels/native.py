@@ -27,14 +27,14 @@ backends, which fork workers that must not inherit a thread pool.
 Covering results are assembled from the C core's ``(first_rank,
 covered)`` through the same
 :func:`~repro.core.kernels.base.accumulate_complete_rows` helper the
-GEMM and bitpack kernels share, so the backends cannot drift apart.
+bitpack kernel uses, so the backends cannot drift apart.
 The fitness hot path, :meth:`NativeKernel.price_grid`, goes further:
 one ``repro_price`` call takes the raw trit genomes and returns each
 genome's compressed bit total, with MV ordering, lane packing,
 covering, the Huffman merge and the fill bits all in C.  The
 cross-kernel property suite pins bit-identity on both paths.
 When the toolchain is missing the registry reports this kernel
-unavailable and ``auto`` falls back to the array kernels — a missing
+unavailable and ``auto`` falls back to the bitpack kernel — a missing
 compiler can cost speed, never a run.
 """
 
@@ -43,22 +43,17 @@ from __future__ import annotations
 import ctypes
 import os
 import sys
-import tempfile
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..blocks import (
-    mask_word_count,
-    pack_bits_to_words,
-    unpack_words_to_bits,
-)
-from ..trits import ONE, ZERO
 from .base import (
     CoveringKernel,
     PreparedBlocks,
     accumulate_complete_rows,
+    fused_block_lanes,
+    fused_mv_lanes,
 )
 from .build import NativeBuildError, load_native_library
 
@@ -70,7 +65,7 @@ __all__ = [
 ]
 
 # Genome chunks bound the (chunk, D) rank matrix handed back by the C
-# core (same budget as the array kernels' chunking).
+# core (same budget as the bitpack kernel's chunking).
 _CHUNK_TENSOR_ELEMENTS = 1 << 20
 
 # The C ABI: one source, two entry points, one version probe.  Masks
@@ -333,7 +328,7 @@ def _load_library() -> tuple[ctypes.CDLL | None, str | None]:
                 os.environ[_WARNED_MARKER_ENV] = "1"
                 print(
                     f"warning: native kernel unavailable ({error}); "
-                    "auto kernel selection falls back to the array kernels",
+                    "auto kernel selection falls back to the bitpack kernel",
                     file=sys.stderr,
                 )
     return _LOADED
@@ -422,78 +417,32 @@ class NativeKernel(CoveringKernel):
         base = self._base_prepared(
             block_ones, block_zeros, block_counts, block_length
         )
-        n_distinct = base.n_distinct
-        lane_words = mask_word_count(2 * block_length)
-        # Out-of-core tables (np.memmap masks) get memmap lanes over an
-        # anonymous temp file, as in the bitpack kernel: the C loop
-        # streams them from disk page by page via the mapped pointer.
-        if isinstance(block_ones, np.memmap) or isinstance(
-            block_zeros, np.memmap
-        ):
-            spool = tempfile.TemporaryFile()
-            block_lanes = np.memmap(
-                spool, dtype=np.uint64, mode="w+",
-                shape=(n_distinct, lane_words),
-            )
-        else:
-            block_lanes = np.empty((n_distinct, lane_words), dtype=np.uint64)
-        # Chunk the D axis so the unpacked-bit intermediate stays
-        # bounded (same budget as the bitpack kernel's preparation).
-        chunk = max(1, _CHUNK_TENSOR_ELEMENTS // max(1, 2 * block_length))
-        for start in range(0, n_distinct, chunk):
-            stop = min(start + chunk, n_distinct)
-            bits = np.concatenate(
-                [
-                    unpack_words_to_bits(
-                        np.asarray(base.ones_words[start:stop]), block_length
-                    ),
-                    unpack_words_to_bits(
-                        np.asarray(base.zeros_words[start:stop]), block_length
-                    ),
-                ],
-                axis=1,
-            )
-            block_lanes[start:stop] = pack_bits_to_words(bits)
+        block_lanes = fused_block_lanes(
+            block_ones, block_zeros, block_length, np.dtype(np.uint64)
+        )
         fields = vars(base) | {"counts": np.ascontiguousarray(base.counts)}
         return _NativePrepared(**fields, block_lanes=block_lanes)
 
-    # -- lane construction --------------------------------------------
+    # -- kernel entry points ------------------------------------------
 
-    @staticmethod
-    def _mv_lanes_from_words(
-        ordered_ones: np.ndarray,
-        ordered_zeros: np.ndarray,
-        block_length: int,
-    ) -> np.ndarray:
-        bits = np.concatenate(
-            [
-                unpack_words_to_bits(ordered_zeros, block_length),
-                unpack_words_to_bits(ordered_ones, block_length),
-            ],
-            axis=-1,
-        )
-        return np.ascontiguousarray(pack_bits_to_words(bits))
-
-    # -- covering core ------------------------------------------------
-
-    def _cover_lanes(
+    def cover_grid(
         self,
-        prepared: _NativePrepared,
-        mv_lanes: np.ndarray,
+        prepared: PreparedBlocks,
+        ordered_grid: np.ndarray,
         orders: np.ndarray,
-        want_assignment: bool,
+        want_assignment: bool = True,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n_genomes, n_vectors = mv_lanes.shape[:2]
+        n_genomes, n_vectors = ordered_grid.shape[:2]
         n_distinct = prepared.n_distinct
         assignment, frequencies, uncovered = self._empty_results(
             n_genomes, n_vectors, n_distinct
         )
         if n_distinct == 0 or n_genomes == 0:
             return assignment, frequencies, uncovered
-        block_lanes = np.ascontiguousarray(prepared.block_lanes)
+        mv_lanes = np.ascontiguousarray(fused_mv_lanes(ordered_grid, np.uint64))
+        orders = np.atleast_2d(np.asarray(orders, dtype=np.int64))
+        block_lanes = prepared.block_lanes
         lane_words = block_lanes.shape[-1]
-        counts = np.ascontiguousarray(prepared.counts, dtype=np.int64)
-        mv_lanes = np.ascontiguousarray(mv_lanes, dtype=np.uint64)
         total_count = prepared.total_count
         cover = self._library.repro_cover
         chunk = max(1, _CHUNK_TENSOR_ELEMENTS // max(1, n_distinct))
@@ -504,7 +453,7 @@ class NativeKernel(CoveringKernel):
             span = stop - start
             cover(
                 _as_uint64_pointer(block_lanes),
-                _as_int64_pointer(counts),
+                _as_int64_pointer(prepared.counts),
                 _as_uint64_pointer(mv_lanes[start:stop]),
                 ctypes.c_int64(span),
                 ctypes.c_int64(n_vectors),
@@ -529,40 +478,6 @@ class NativeKernel(CoveringKernel):
                 want_assignment,
             )
         return assignment, frequencies, uncovered
-
-    # -- kernel entry points ------------------------------------------
-
-    def cover_ordered_words(
-        self,
-        prepared: PreparedBlocks,
-        ordered_ones: np.ndarray,
-        ordered_zeros: np.ndarray,
-        orders: np.ndarray,
-        want_assignment: bool = True,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        mv_lanes = self._mv_lanes_from_words(
-            ordered_ones, ordered_zeros, prepared.block_length
-        )
-        return self._cover_lanes(prepared, mv_lanes, orders, want_assignment)
-
-    def cover_grid(
-        self,
-        prepared: PreparedBlocks,
-        ordered_grid: np.ndarray,
-        orders: np.ndarray,
-        want_assignment: bool = True,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Fast path: fused lanes straight from the trit grid.
-        bits = np.concatenate(
-            [ordered_grid == ZERO, ordered_grid == ONE], axis=2
-        )
-        mv_lanes = np.ascontiguousarray(pack_bits_to_words(bits))
-        return self._cover_lanes(
-            prepared,
-            mv_lanes,
-            np.atleast_2d(np.asarray(orders, dtype=np.int64)),
-            want_assignment,
-        )
 
     def price_grid(
         self,

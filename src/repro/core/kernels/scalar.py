@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..blocks import masks_as_words
+from ..blocks import masks_as_words, pack_bits_to_words
+from ..trits import ONE, ZERO
 from .base import CoveringKernel, PreparedBlocks
 
 __all__ = ["ScalarKernel", "cover_masks"]
@@ -79,21 +80,23 @@ class ScalarKernel(CoveringKernel):
             block_ones, block_zeros, block_counts, block_length
         )
 
-    def cover_ordered_words(
+    def cover_grid(
         self,
         prepared: PreparedBlocks,
-        ordered_ones: np.ndarray,
-        ordered_zeros: np.ndarray,
+        ordered_grid: np.ndarray,
         orders: np.ndarray,
         want_assignment: bool = True,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n_genomes, n_vectors = ordered_ones.shape[:2]
+        n_genomes, n_vectors = ordered_grid.shape[:2]
         n_distinct = prepared.n_distinct
         assignment, frequencies, uncovered = self._empty_results(
             n_genomes, n_vectors, n_distinct
         )
         if n_distinct == 0 or n_genomes == 0:
             return assignment, frequencies, uncovered
+        ordered_ones = pack_bits_to_words(ordered_grid == ONE)
+        ordered_zeros = pack_bits_to_words(ordered_grid == ZERO)
+        orders = np.atleast_2d(np.asarray(orders, dtype=np.int64))
         identity = np.arange(n_vectors, dtype=np.int64)
         for row in range(n_genomes):
             # The MV rows are already in covering order, so cover with

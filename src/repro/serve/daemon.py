@@ -125,6 +125,18 @@ class ServeDaemon:
         self._jobs = max(1, int(jobs))
         self._max_queue = int(max_queue)
         self._timeout = request_timeout
+        # Bind first: a port already in use raises OSError here, before
+        # the coalescer or the compress pool exist.
+        handler = type("_BoundHandler", (_Handler,), {"daemon": self})
+        # The stdlib listen backlog (5) drops connects under bursty
+        # concurrency before backpressure can answer 429; size it to
+        # the admission bound so refusal is always an HTTP status.
+        server = type(
+            "_BoundServer",
+            (ThreadingHTTPServer,),
+            {"request_queue_size": max(128, self._max_queue)},
+        )
+        self._httpd = server((host, port), handler)
         self._coalescer = Coalescer(
             service.evaluate,
             window_ms=batch_window_ms,
@@ -146,16 +158,6 @@ class ServeDaemon:
         }
         self._draining = False
         self._started = time.monotonic()
-        handler = type("_BoundHandler", (_Handler,), {"daemon": self})
-        # The stdlib listen backlog (5) drops connects under bursty
-        # concurrency before backpressure can answer 429; size it to
-        # the admission bound so refusal is always an HTTP status.
-        server = type(
-            "_BoundServer",
-            (ThreadingHTTPServer,),
-            {"request_queue_size": max(128, self._max_queue)},
-        )
-        self._httpd = server((host, port), handler)
         self._serve_thread: threading.Thread | None = None
 
     # -- lifecycle -----------------------------------------------------

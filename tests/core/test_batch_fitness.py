@@ -2,8 +2,9 @@
 
 Three layers of guarantees:
 
-1. ``cover_masks_batch`` row-for-row agrees with the scalar
-   ``cover_masks`` kernel;
+1. batch covering under ``auto`` (``covering_order`` + the resolved
+   kernel's ``cover_grid``) row-for-row agrees with the reference
+   ``cover_masks`` loop;
 2. ``BatchCompressionRateFitness`` prices every genome exactly like
    the end-to-end compressor (and like the single-genome wrapper),
    including uncoverable genomes → ``INVALID_FITNESS``;
@@ -17,17 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.blocks import BlockSet
+from repro.core.blocks import BlockSet, pack_bits_to_words
 from repro.core.config import CompressionConfig, EAParameters
-from repro.core.covering import cover, cover_masks, cover_masks_batch
+from repro.core.covering import cover, cover_masks
 from repro.core.compressor import compress_blocks
 from repro.core.fitness import (
     INVALID_FITNESS,
     BatchCompressionRateFitness,
     CompressionRateFitness,
 )
+from repro.core.kernels import covering_order, resolve_kernel
 from repro.core.matching import MVSet
-from repro.core.trits import DC
+from repro.core.trits import DC, ONE, ZERO
 from repro.ea.engine import EvolutionaryEngine
 from repro.testdata.synthetic import SyntheticSpec, synthetic_test_set
 
@@ -40,7 +42,24 @@ def random_genome_batch(
     return rng.integers(0, 3, size=(n_genomes, genome_length), dtype=np.int8)
 
 
+def cover_batch_auto(block_ones, block_zeros, counts, grid):
+    """Cover a ``(C, L, K)`` trit grid with the ``auto`` kernel."""
+    n_genomes, n_vectors, block_length = grid.shape
+    kernel = resolve_kernel(
+        "auto",
+        n_genomes=n_genomes,
+        n_distinct=len(block_ones),
+        n_vectors=n_vectors,
+        block_length=block_length,
+    )
+    prepared = kernel.prepare_masks(block_ones, block_zeros, counts, block_length)
+    ordered_grid, orders, _ = covering_order(grid)
+    return kernel.cover_grid(prepared, ordered_grid, orders)
+
+
 class TestCoverMasksBatch:
+    """The batched covering against the reference ``cover_masks``."""
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))
     def test_rows_match_scalar_kernel(self, seed):
@@ -50,23 +69,22 @@ class TestCoverMasksBatch:
         n_genomes = int(rng.integers(1, 10))
         width = int(rng.integers(1, 14))
 
-        def random_masks(count):
-            ones = rng.integers(0, 1 << width, count, dtype=np.uint64)
-            zeros = rng.integers(0, 1 << width, count, dtype=np.uint64) & ~ones
-            return ones, zeros
-
-        block_ones, block_zeros = random_masks(n_distinct)
-        counts = rng.integers(1, 9, n_distinct).astype(np.int64)
-        mv_ones = np.empty((n_genomes, n_vectors), dtype=np.uint64)
-        mv_zeros = np.empty((n_genomes, n_vectors), dtype=np.uint64)
-        orders = np.empty((n_genomes, n_vectors), dtype=np.int64)
-        for row in range(n_genomes):
-            mv_ones[row], mv_zeros[row] = random_masks(n_vectors)
-            orders[row] = rng.permutation(n_vectors)
-
-        assignment, frequencies, uncovered = cover_masks_batch(
-            block_ones, block_zeros, counts, mv_ones, mv_zeros, orders
+        block_ones = rng.integers(0, 1 << width, n_distinct, dtype=np.uint64)
+        block_zeros = (
+            rng.integers(0, 1 << width, n_distinct, dtype=np.uint64)
+            & ~block_ones
         )
+        counts = rng.integers(1, 9, n_distinct).astype(np.int64)
+        grid = random_genome_batch(
+            rng, n_genomes, n_vectors * width
+        ).reshape(n_genomes, n_vectors, width)
+
+        assignment, frequencies, uncovered = cover_batch_auto(
+            block_ones, block_zeros, counts, grid
+        )
+        mv_ones = pack_bits_to_words(grid == ONE)
+        mv_zeros = pack_bits_to_words(grid == ZERO)
+        _, orders, _ = covering_order(grid)
         for row in range(n_genomes):
             ref_assignment, ref_frequencies, ref_uncovered = cover_masks(
                 block_ones, block_zeros, counts,
@@ -82,15 +100,22 @@ class TestCoverMasksBatch:
 
     def test_empty_batch_and_empty_blocks(self):
         empty_u64 = np.empty(0, dtype=np.uint64)
-        assignment, frequencies, uncovered = cover_masks_batch(
-            empty_u64, empty_u64, np.empty(0, dtype=np.int64),
-            np.zeros((3, 4), dtype=np.uint64),
-            np.zeros((3, 4), dtype=np.uint64),
-            np.tile(np.arange(4), (3, 1)),
+        no_counts = np.empty(0, dtype=np.int64)
+        grid = np.full((3, 4, 4), DC, dtype=np.int8)
+        assignment, frequencies, uncovered = cover_batch_auto(
+            empty_u64, empty_u64, no_counts, grid
         )
         assert assignment.shape == (3, 0)
         assert (frequencies == 0).all()
         assert (uncovered == 0).all()
+        block_ones = np.asarray([0b1010], dtype=np.uint64)
+        block_zeros = np.asarray([0b0101], dtype=np.uint64)
+        assignment, frequencies, uncovered = cover_batch_auto(
+            block_ones, block_zeros, np.ones(1, dtype=np.int64), grid[:0]
+        )
+        assert assignment.shape == (0, 1)
+        assert frequencies.shape == (0, 4)
+        assert uncovered.shape == (0,)
 
 
 class TestBatchFitnessAgainstCompressor:

@@ -34,7 +34,7 @@ from repro.core.blocks_io import (
     save_block_table,
 )
 from repro.core.fitness import BatchCompressionRateFitness
-from repro.core.kernels import get_kernel
+from repro.core.kernels import get_kernel, kernel_unavailable_reason
 
 
 def random_trits(rng, n):
@@ -135,10 +135,23 @@ class TestStreamingBuilder:
 
 class TestMemmapPricingParity:
     """np.memmap tables behave identically through prepare() and the
-    kernels — the bitpack lane build spills to a disk-backed buffer
-    but the lanes themselves are bit-identical."""
+    kernels — the bitpack and native lane builds spill to a disk-backed
+    buffer but the lanes themselves are bit-identical."""
 
-    @pytest.mark.parametrize("kernel_name", ("gemm", "bitpack", "scalar"))
+    @pytest.mark.parametrize(
+        "kernel_name",
+        (
+            pytest.param(
+                "native",
+                marks=pytest.mark.skipif(
+                    kernel_unavailable_reason("native") is not None,
+                    reason="native kernel unavailable",
+                ),
+            ),
+            "bitpack",
+            "scalar",
+        ),
+    )
     def test_prepare_and_price_from_memmap(self, tmp_path, kernel_name):
         rng = np.random.default_rng(29)
         trits = random_trits(rng, 24_000)
@@ -165,6 +178,29 @@ class TestMemmapPricingParity:
         from_map = kernel.prepare(mapped)
         assert not isinstance(from_ram.block_lanes, np.memmap)
         assert isinstance(from_map.block_lanes, np.memmap)
+        assert (
+            np.asarray(from_ram.block_lanes)
+            == np.asarray(from_map.block_lanes)
+        ).all()
+
+    @pytest.mark.skipif(
+        kernel_unavailable_reason("native") is not None,
+        reason="native kernel unavailable",
+    )
+    def test_native_lanes_are_contiguous_uint64(self, tmp_path):
+        rng = np.random.default_rng(37)
+        ram = BlockSet.from_trit_array(random_trits(rng, 24_000), 40)
+        save_block_table(ram, tmp_path / "table")
+        mapped = load_block_table(tmp_path / "table")
+        kernel = get_kernel("native")
+        from_ram = kernel.prepare(ram)
+        from_map = kernel.prepare(mapped)
+        assert isinstance(from_map.block_lanes, np.memmap)
+        for prepared in (from_ram, from_map):
+            lanes = prepared.block_lanes
+            assert lanes.dtype == np.uint64
+            assert lanes.flags["C_CONTIGUOUS"]
+            assert lanes.shape == (ram.n_distinct, 2)  # 2K = 80 bits
         assert (
             np.asarray(from_ram.block_lanes)
             == np.asarray(from_map.block_lanes)

@@ -105,15 +105,3 @@ class TestFitnessMatchesCompressor:
         assert fitness.evaluate_mv_set(mv_set) == pytest.approx(
             fitness(mv_set.to_genome())
         )
-
-
-class TestGenomeMasks:
-    def test_masks_match_mv_objects(self):
-        blocks = BlockSet.from_string("1111", 4)
-        fitness = CompressionRateFitness(blocks, n_vectors=3, block_length=4)
-        mv_set = MVSet.from_strings(["1U0U", "0000", "UUUU"])
-        ones, zeros, n_unspecified = fitness.genome_masks(mv_set.to_genome())
-        for index, mv in enumerate(mv_set):
-            assert int(ones[index]) == mv.ones_mask
-            assert int(zeros[index]) == mv.zeros_mask
-            assert int(n_unspecified[index]) == mv.n_unspecified

@@ -1,12 +1,12 @@
 """Cross-kernel parity and registry tests for ``repro.core.kernels``.
 
 The subsystem's contract is bit-identical results from every kernel:
-``gemm`` ≡ ``bitpack`` ≡ the scalar reference ``cover_masks`` loop,
-including the batch early-exit convention (uncoverable genomes report
-exact ``uncovered`` counts but all ``-1`` assignment rows and zero
-frequencies) and multi-word masks (K > 64).  Seeded experiments stay
-byte-identical no matter which kernel priced them — these tests pin
-that property at the kernel, fitness, EA-run and compressor layers.
+``native`` ≡ ``bitpack`` ≡ ``scalar`` ≡ the reference ``cover_masks``
+loop, including the batch early-exit convention (uncoverable genomes
+report exact ``uncovered`` counts but all ``-1`` assignment rows and
+zero frequencies) and multi-word masks (K > 64).  Seeded experiments
+stay byte-identical no matter which kernel priced them — these tests
+pin that property at the kernel, fitness, EA-run and compressor layers.
 """
 
 import numpy as np
@@ -18,20 +18,19 @@ from repro.core.blocks import BlockSet, mask_word_count, pack_bits_to_words
 from repro.core.blocks_io import load_block_table, save_block_table
 from repro.core.compressor import compress_blocks
 from repro.core.config import CompressionConfig, EAParameters
-from repro.core.covering import cover, cover_masks, cover_masks_batch
+from repro.core.covering import cover, cover_masks
 from repro.core.decompressor import verify_roundtrip
 from repro.core.encoding import EncodingStrategy, build_encoding_table
 from repro.core.fitness import INVALID_FITNESS, BatchCompressionRateFitness
 from repro.core.kernels import (
     BitpackKernel,
     CoveringKernel,
-    GemmKernel,
     NativeKernel,
     ScalarKernel,
     available_kernels,
+    covering_order,
     get_kernel,
     kernel_unavailable_reason,
-    register_kernel,
     resolve_kernel,
     select_kernel_name,
     usable_kernels,
@@ -51,7 +50,7 @@ from repro.testdata.synthetic import (
 # asking availability here compiles on first use (warming the build
 # cache for the whole session) and yields the skip reason otherwise.
 NATIVE_UNAVAILABLE = kernel_unavailable_reason("native")
-KERNEL_NAMES = ("gemm", "bitpack", "scalar") + (
+KERNEL_NAMES = ("bitpack", "scalar") + (
     ("native",) if NATIVE_UNAVAILABLE is None else ()
 )
 requires_native = pytest.mark.skipif(
@@ -72,39 +71,68 @@ def no_native(monkeypatch):
 
 
 def random_workload(rng, block_length):
-    """Random block set + genome batch over the given mask width."""
+    """Random block masks + a ``(C, L, K)`` trit grid of genomes.
+
+    Blocks carry random care bits; each genome's MVs draw trits at a
+    per-genome don't-care density, and about half the genomes end in
+    an all-U MV, so complete rows and early-exit rows both occur.
+    """
     n_distinct = int(rng.integers(1, 60))
     n_vectors = int(rng.integers(1, 14))
     n_genomes = int(rng.integers(1, 9))
-    n_words = mask_word_count(block_length)
-
-    def random_masks(count):
-        bits = rng.integers(0, 2, size=(count, block_length))
-        zero_bits = rng.integers(0, 2, size=(count, block_length)) & ~bits
-        ones = pack_bits_to_words(bits)
-        zeros = pack_bits_to_words(zero_bits)
-        if n_words == 1:
-            return ones[:, 0], zeros[:, 0]
-        return ones, zeros
-
-    block_ones, block_zeros = random_masks(n_distinct)
+    bits = rng.integers(0, 2, size=(n_distinct, block_length))
+    zero_bits = rng.integers(0, 2, size=(n_distinct, block_length)) & ~bits
+    block_ones = pack_bits_to_words(bits)
+    block_zeros = pack_bits_to_words(zero_bits)
+    if mask_word_count(block_length) == 1:
+        block_ones, block_zeros = block_ones[:, 0], block_zeros[:, 0]
     counts = rng.integers(1, 9, n_distinct).astype(np.int64)
-    mv_shape = (
-        (n_genomes, n_vectors)
-        if n_words == 1
-        else (n_genomes, n_vectors, n_words)
+    shape = (n_genomes, n_vectors, block_length)
+    dc_density = rng.uniform(0.3, 1.0, size=(n_genomes, 1, 1))
+    grid = np.where(
+        rng.random(shape) < dc_density, DC, rng.integers(0, 2, shape)
+    ).astype(np.int8)
+    grid[rng.random(n_genomes) < 0.5, -1] = DC
+    return block_ones, block_zeros, counts, grid
+
+
+def cover_with(kernel, block_ones, block_zeros, counts, grid):
+    """Batch covering as the fitness runs it: order, then ``cover_grid``."""
+    if isinstance(kernel, str):
+        kernel = get_kernel(kernel)
+    prepared = kernel.prepare_masks(
+        block_ones, block_zeros, counts, grid.shape[2]
     )
-    mv_ones = np.empty(mv_shape, dtype=np.uint64)
-    mv_zeros = np.empty(mv_shape, dtype=np.uint64)
-    orders = np.empty((n_genomes, n_vectors), dtype=np.int64)
-    for row in range(n_genomes):
-        mv_ones[row], mv_zeros[row] = random_masks(n_vectors)
-        orders[row] = rng.permutation(n_vectors)
-    return block_ones, block_zeros, counts, mv_ones, mv_zeros, orders
+    ordered_grid, orders, _ = covering_order(grid)
+    return kernel.cover_grid(prepared, ordered_grid, orders)
+
+
+def assert_rows_match_reference(results, block_ones, block_zeros, counts, grid):
+    """Every batch row against the reference loop on that genome alone."""
+    assignment, frequencies, uncovered = results
+    mv_ones = pack_bits_to_words(grid == ONE)
+    mv_zeros = pack_bits_to_words(grid == ZERO)
+    _, orders, _ = covering_order(grid)
+    for row in range(grid.shape[0]):
+        ref_assignment, ref_frequencies, ref_uncovered = cover_masks(
+            block_ones,
+            block_zeros,
+            counts,
+            mv_ones[row],
+            mv_zeros[row],
+            orders[row],
+        )
+        assert uncovered[row] == ref_uncovered
+        if ref_uncovered == 0:
+            assert (assignment[row] == ref_assignment).all()
+            assert (frequencies[row] == ref_frequencies).all()
+        else:  # the batch early-exit contract
+            assert (assignment[row] == -1).all()
+            assert (frequencies[row] == 0).all()
 
 
 class TestCrossKernelParity:
-    """gemm ≡ bitpack ≡ scalar, against the reference loop per row."""
+    """native ≡ bitpack ≡ scalar, against the reference loop per row."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -113,119 +141,71 @@ class TestCrossKernelParity:
     )
     def test_kernels_match_reference_loop(self, seed, block_length):
         rng = np.random.default_rng(seed)
-        (
-            block_ones,
-            block_zeros,
-            counts,
-            mv_ones,
-            mv_zeros,
-            orders,
-        ) = random_workload(rng, block_length)
-        per_kernel = {
-            name: cover_masks_batch(
-                block_ones,
-                block_zeros,
-                counts,
-                mv_ones,
-                mv_zeros,
-                orders,
-                block_length=block_length,
-                kernel=name,
-            )
-            for name in KERNEL_NAMES
-        }
-        n_genomes = orders.shape[0]
-        reference = per_kernel["scalar"]
-        for row in range(n_genomes):
-            ref_assignment, ref_frequencies, ref_uncovered = cover_masks(
-                block_ones,
-                block_zeros,
-                counts,
-                mv_ones[row],
-                mv_zeros[row],
-                orders[row],
-            )
-            assert reference[2][row] == ref_uncovered
-            if ref_uncovered == 0:
-                assert (reference[0][row] == ref_assignment).all()
-                assert (reference[1][row] == ref_frequencies).all()
-            else:  # the batch early-exit contract
-                assert (reference[0][row] == -1).all()
-                assert (reference[1][row] == 0).all()
+        workload = random_workload(rng, block_length)
+        per_kernel = {name: cover_with(name, *workload) for name in KERNEL_NAMES}
+        assert_rows_match_reference(per_kernel["scalar"], *workload)
         for name in KERNEL_NAMES:
-            if name == "scalar":
-                continue
-            for ours, theirs in zip(per_kernel[name], reference):
+            for ours, theirs in zip(per_kernel[name], per_kernel["scalar"]):
                 assert (ours == theirs).all(), name
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))
     def test_uncoverable_rows_early_exit_on_every_kernel(self, seed):
         rng = np.random.default_rng(seed)
-        block_length = 6
         # Fully-specified complementary blocks and a single fully
         # specified MV: at most one block row can ever be covered.
         block_ones = np.asarray([0b111111, 0b000000], dtype=np.uint64)
         block_zeros = np.asarray([0b000000, 0b111111], dtype=np.uint64)
         counts = rng.integers(1, 5, 2).astype(np.int64)
-        mv_ones = rng.integers(0, 2**6, (3, 1), dtype=np.uint64)
-        mv_zeros = (~mv_ones) & np.uint64(0b111111)
-        orders = np.zeros((3, 1), dtype=np.int64)
-        results = {
-            name: cover_masks_batch(
-                block_ones, block_zeros, counts,
-                mv_ones, mv_zeros, orders,
-                block_length=block_length, kernel=name,
-            )
-            for name in KERNEL_NAMES
-        }
+        grid = rng.integers(0, 2, size=(3, 1, 6)).astype(np.int8)
+        workload = (block_ones, block_zeros, counts, grid)
+        results = {name: cover_with(name, *workload) for name in KERNEL_NAMES}
+        assert_rows_match_reference(results["scalar"], *workload)
         for name in KERNEL_NAMES:
             assignment, frequencies, uncovered = results[name]
             assert (uncovered > 0).all(), name
             assert (assignment == -1).all(), name
             assert (frequencies == 0).all(), name
-        for name in KERNEL_NAMES:
-            if name == "scalar":
-                continue
             for ours, theirs in zip(results[name], results["scalar"]):
-                assert (ours == theirs).all()
+                assert (ours == theirs).all(), name
 
-    def test_single_genome_word_masks_promote_to_batch_of_one(self):
-        """(L, W) masks + 1-D order must read as ONE genome, not L."""
+    def test_single_genome_wide_grid(self):
+        """A ``(1, L, 96)`` grid is one genome over two-word lanes."""
         rng = np.random.default_rng(8)
         trits = rng.integers(0, 3, size=96 * 11).astype(np.int8)
         blocks = BlockSet.from_trit_array(trits, 96)
-        mv_set = MVSet.from_genome(
-            np.full(96 * 4, 2, dtype=np.int8), 96
-        )  # all-U MVs: every block covered by the first in order
-        mv_ones, mv_zeros = mv_set.mask_arrays()
-        assert mv_ones.shape == (4, 2)  # the ambiguous (L, W) shape
-        order = np.asarray(mv_set.covering_order(), dtype=np.int64)
+        # All-U MVs: every block is covered by the first in order.
+        grid = np.full((1, 4, 96), DC, dtype=np.int8)
         for name in KERNEL_NAMES:
-            assignment, frequencies, uncovered = cover_masks_batch(
-                blocks.ones, blocks.zeros, blocks.counts,
-                mv_ones, mv_zeros, order,
-                block_length=96, kernel=name,
+            assignment, frequencies, uncovered = cover_with(
+                name, blocks.ones, blocks.zeros, blocks.counts, grid
             )
             assert assignment.shape == (1, blocks.n_distinct), name
             assert frequencies.shape == (1, 4), name
             assert uncovered.tolist() == [0], name
-            assert (assignment == order[0]).all(), name
-            assert frequencies[0, order[0]] == blocks.n_blocks, name
+            assert (assignment == 0).all(), name
+            assert frequencies[0].tolist() == [blocks.n_blocks, 0, 0, 0], name
 
     def test_empty_blocks_and_empty_batch(self):
         empty_u64 = np.empty(0, dtype=np.uint64)
+        no_counts = np.empty(0, dtype=np.int64)
+        grid = np.full((3, 4, 4), DC, dtype=np.int8)
+        rng = np.random.default_rng(2)
+        workload = random_workload(rng, 12)
         for name in KERNEL_NAMES:
-            assignment, frequencies, uncovered = cover_masks_batch(
-                empty_u64, empty_u64, np.empty(0, dtype=np.int64),
-                np.zeros((3, 4), dtype=np.uint64),
-                np.zeros((3, 4), dtype=np.uint64),
-                np.tile(np.arange(4), (3, 1)),
-                kernel=name,
+            assignment, frequencies, uncovered = cover_with(
+                name, empty_u64, empty_u64, no_counts, grid
             )
-            assert assignment.shape == (3, 0)
-            assert (frequencies == 0).all()
-            assert (uncovered == 0).all()
+            assert assignment.shape == (3, 0), name
+            assert frequencies.shape == (3, 4), name
+            assert (frequencies == 0).all(), name
+            assert (uncovered == 0).all(), name
+            assignment, frequencies, uncovered = cover_with(
+                name, *workload[:3], workload[3][:0]
+            )
+            assert assignment.shape == (0, len(workload[0])), name
+            assert frequencies.shape == (0, workload[3].shape[1]), name
+            assert uncovered.shape == (0,), name
 
 
 def price_workload(rng, block_length, n_vectors, n_genomes):
@@ -394,7 +374,7 @@ class TestPriceGrid:
 
 
 class TestShardingKnobs:
-    """Sharding and thread fan-out must never change results."""
+    """Block-table sharding must never change results."""
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -404,16 +384,9 @@ class TestShardingKnobs:
     def test_shard_size_is_result_invariant(self, seed, shard_size):
         rng = np.random.default_rng(seed)
         workload = random_workload(rng, 11)
-        block_ones, block_zeros, counts, mv_ones, mv_zeros, orders = workload
-        baseline = get_kernel("bitpack")
-        sharded = BitpackKernel(shard_size=shard_size)
-        results = []
-        for kern in (baseline, sharded):
-            prepared = kern.prepare_masks(block_ones, block_zeros, counts, 11)
-            results.append(
-                kern.cover_masks(prepared, mv_ones, mv_zeros, orders)
-            )
-        for ours, theirs in zip(results[0], results[1]):
+        baseline = cover_with("bitpack", *workload)
+        sharded = cover_with(BitpackKernel(shard_size=shard_size), *workload)
+        for ours, theirs in zip(baseline, sharded):
             assert (ours == theirs).all()
 
     def test_shard_size_validated(self):
@@ -435,7 +408,7 @@ class TestRegistry:
             get_kernel("auto")
 
     def test_resolve_passes_instances_through(self):
-        kern = GemmKernel()
+        kern = BitpackKernel()
         assert (
             resolve_kernel(
                 kern, n_genomes=4, n_distinct=10, n_vectors=4, block_length=8
@@ -443,26 +416,21 @@ class TestRegistry:
             is kern
         )
 
-    def test_register_rejects_reserved_names(self):
-        with pytest.raises(ValueError):
-            register_kernel("auto", GemmKernel)
-        with pytest.raises(ValueError):
-            register_kernel("", GemmKernel)
-
     def test_auto_heuristic_shapes(self, no_native):
-        # The array-kernel heuristic, exactly as before the native
-        # kernel existed (pinned by forcing the no-compiler path).
-        # Tiny one-off covering → scalar.
+        # Without a compiler the rule has two outcomes.  Tiny one-off
+        # covering → scalar; every batched shape → bitpack, the one
+        # array fallback, whatever the table size or lane width.
         assert select_kernel_name(1, 8, 4, 8) == ScalarKernel.name
-        # Narrow lanes over a tiny table → gemm (cache-resident BLAS).
-        assert select_kernel_name(256, 100, 64, 12) == GemmKernel.name
-        # Narrow lanes past the table threshold → bitpack.
-        assert select_kernel_name(256, 900, 64, 12) == BitpackKernel.name
-        assert select_kernel_name(256, 5000, 64, 64) == BitpackKernel.name
-        # Wide lanes over a modest table → gemm.
-        assert select_kernel_name(256, 400, 64, 96) == GemmKernel.name
-        # Wide lanes over a huge table → back to bitpack.
-        assert select_kernel_name(256, 4096, 64, 96) == BitpackKernel.name
+        for shape in (
+            (256, 100, 64, 12),
+            (256, 900, 64, 12),
+            (256, 5000, 64, 64),
+            (256, 400, 64, 96),
+            (256, 4096, 64, 96),
+            (5, 3200, 64, 12),
+            (2, 8, 4, 8),
+        ):
+            assert select_kernel_name(*shape) == BitpackKernel.name, shape
 
     @requires_native
     def test_auto_prefers_native_when_available(self):
@@ -548,7 +516,7 @@ class TestFitnessKernelChoice:
             rates[name] = fitness.evaluate_batch(genomes)
             assert fitness.kernel_name == name
         for name in KERNEL_NAMES[1:]:
-            assert (rates["gemm"] == rates[name]).all(), name
+            assert (rates[KERNEL_NAMES[0]] == rates[name]).all(), name
 
     def test_auto_resolves_on_first_batch(self):
         rng = np.random.default_rng(3)

@@ -8,19 +8,21 @@ The compile machinery's contract (``repro.core.kernels.build``):
   a bad cache costs a cold start, never a wrong result or a crash;
 * no compiler (or a disabled toolchain) surfaces as ONE stderr
   warning and an unavailable ``native`` kernel, while every ``auto``
-  path keeps running on the array kernels;
+  path keeps running on the bitpack kernel;
 * concurrent builders — ProcessBackend workers racing on a fresh
   cache — compile exactly once via the exclusive-create lock file.
 """
 
-import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.covering import cover_masks_batch
-from repro.core.kernels import kernel_unavailable_reason
+from repro.core.kernels import (
+    covering_order,
+    kernel_unavailable_reason,
+    resolve_kernel,
+)
 from repro.core.kernels.build import (
     NativeBuildError,
     build_key,
@@ -166,14 +168,18 @@ class TestNoCompilerFallback:
         block_ones = rng.integers(0, 2**8, 300, dtype=np.uint64)
         block_zeros = (~block_ones) & np.uint64(0xFF)
         counts = np.ones(300, dtype=np.int64)
-        mv_ones = np.zeros((4, 6), dtype=np.uint64)
-        mv_zeros = np.zeros((4, 6), dtype=np.uint64)
-        orders = np.tile(np.arange(6), (4, 1))
+        ordered_grid, orders, _ = covering_order(
+            np.full((4, 6, 8), 2, dtype=np.int8)
+        )
         for _ in range(3):  # repeated calls must not repeat the warning
-            assignment, frequencies, uncovered = cover_masks_batch(
-                block_ones, block_zeros, counts,
-                mv_ones, mv_zeros, orders,
-                block_length=8, kernel="auto",
+            kernel = resolve_kernel(
+                "auto", n_genomes=4, n_distinct=300,
+                n_vectors=6, block_length=8,
+            )
+            assert kernel.name == "bitpack"
+            prepared = kernel.prepare_masks(block_ones, block_zeros, counts, 8)
+            assignment, frequencies, uncovered = kernel.cover_grid(
+                prepared, ordered_grid, orders
             )
             assert (uncovered == 0).all()  # all-U MVs cover everything
         stderr = capsys.readouterr().err

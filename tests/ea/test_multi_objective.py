@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.config import CompressionConfig, EAParameters
 from repro.core.fitness import OBJECTIVE_COLUMNS, BatchCompressionRateFitness
+from repro.core.kernels import kernel_unavailable_reason
 from repro.ea.multi_objective import (
     MAXIMIZED_OBJECTIVES,
     MultiObjectiveEngine,
@@ -226,6 +227,10 @@ class TestBuildParetoFront:
         )
         assert pareto_markdown(serial) == pareto_markdown(threaded)
 
+    @pytest.mark.skipif(
+        kernel_unavailable_reason("native") is not None,
+        reason="native kernel unavailable",
+    )
     def test_kernel_invariance(self, blocks):
         outputs = {
             kernel: pareto_markdown(
@@ -233,9 +238,9 @@ class TestBuildParetoFront:
                     blocks, fast_config(kernel=kernel), seed=13
                 )
             )
-            for kernel in ("bitpack", "gemm")
+            for kernel in ("bitpack", "native")
         }
-        assert outputs["bitpack"] == outputs["gemm"]
+        assert outputs["bitpack"] == outputs["native"]
 
     def test_objective_subset_columns(self, blocks):
         result = build_pareto_front(

@@ -64,7 +64,7 @@ class TestParser:
 
 
 class TestKernelFlag:
-    """Every command exposes --kernel {auto,bitpack,gemm,scalar}."""
+    """Every command exposes --kernel {auto,bitpack,native,scalar}."""
 
     def test_kernel_defaults_to_auto(self):
         for argv in (
@@ -78,7 +78,10 @@ class TestKernelFlag:
             assert build_parser().parse_args(argv).kernel == "auto"
 
     def test_kernel_choices_parsed(self):
-        for kernel in ("auto", "gemm", "bitpack", "scalar"):
+        from repro.core.kernels import KERNEL_CHOICES
+
+        assert KERNEL_CHOICES == ("auto", "bitpack", "native", "scalar")
+        for kernel in KERNEL_CHOICES:
             arguments = build_parser().parse_args(
                 ["compress", "file.txt", "--kernel", kernel]
             )
@@ -106,7 +109,7 @@ class TestKernelFlag:
         args = ["compress", str(path), "--k", "4", "--l", "6", "--runs", "1",
                 "--stagnation", "5", "--max-evaluations", "120", "--seed", "3"]
         outputs = {}
-        kernels = ("auto", "gemm", "bitpack", "scalar") + (
+        kernels = ("auto", "bitpack", "scalar") + (
             ("native",) if NATIVE_OK else ()
         )
         for kernel in kernels:
@@ -226,6 +229,28 @@ class TestBadInputs:
         assert f"repro: error: request: cannot read {missing}: " in err
         assert "No such file or directory" in err
 
+    def test_serve_port_in_use(self, capsys):
+        import socket
+        import threading
+
+        before = {thread.ident for thread in threading.enumerate()}
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            err = _usage_error(capsys, ["serve", "--port", str(port)])
+        assert (
+            f"repro: error: serve: cannot listen on 127.0.0.1:{port}: "
+            "Address already in use" in err
+        )
+        # Neither the coalescer nor the compress pool was started.
+        leftover = [
+            thread.name
+            for thread in threading.enumerate()
+            if thread.ident not in before
+        ]
+        assert leftover == []
+
 
 class TestCacheCommand:
     def test_list_info_clear_roundtrip(self, tmp_path, monkeypatch, capsys):
@@ -289,7 +314,7 @@ class TestKernelsCommand:
     def test_lists_every_backend_with_availability(self, capsys):
         assert main(["kernels"]) == 0
         output = capsys.readouterr().out
-        for name in ("gemm", "bitpack", "scalar"):
+        for name in ("bitpack", "scalar"):
             assert f"{name}: available" in output
         if NATIVE_OK:
             assert "native: available" in output
@@ -477,12 +502,9 @@ class TestFaultToleranceFlags:
         retry, _ = _resolve_fault_tolerance(arguments)
         assert retry is None
 
-    def test_negative_retries_rejected(self):
-        from repro.cli import _resolve_fault_tolerance
-
-        arguments = build_parser().parse_args(["table1", "--retries", "-1"])
-        with pytest.raises(SystemExit):
-            _resolve_fault_tolerance(arguments)
+    def test_negative_retries_rejected(self, capsys):
+        err = _usage_error(capsys, ["table1", "--retries", "-1"])
+        assert "repro: error: table1: --retries must be >= 0, got -1" in err
 
     def test_resume_flag_on_sweep_commands(self):
         for argv in (["table1"], ["table2"], ["ablate", "kl"], ["report"]):
@@ -719,9 +741,11 @@ class TestObjectivesFlag:
         variants = {
             "serial": [],
             "jobs4": ["--jobs", "4", "--backend", "thread"],
-            "gemm": ["--kernel", "gemm"],
             "bitpack": ["--kernel", "bitpack"],
+            "scalar": ["--kernel", "scalar"],
         }
+        if NATIVE_OK:
+            variants["native"] = ["--kernel", "native"]
         for name, extra in variants.items():
             assert main([*base, *extra]) == 0
             outputs[name] = capsys.readouterr().out
